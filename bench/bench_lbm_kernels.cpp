@@ -4,13 +4,17 @@
 // on inlet/outlet-capped geometry, and the pull versus AA (in-place)
 // propagation patterns.
 //
-// After the microbenchmarks the binary prints a pull-vs-AA MFLUPS table
-// on a memory-bound cylinder (distribution arrays far larger than cache,
-// where the AA pattern's single array pass per step — 152 B/point against
-// pull's 304 — should convert into wall-clock).  The table follows the
-// bench_common emit() convention (aligned text, "-- csv --" block, CSV
-// artifact under HEMO_BENCH_CSV_DIR) but the binary stays standalone:
-// it links only hemo_lbm + hemo_geom, not the campaign runtime.
+// After the microbenchmarks the binary prints an MFLUPS table on a large
+// cylinder: the two patterns through lbm::Solver, then one sweep of each
+// kernel (pull, AA-even, AA-odd) launched per point and per coarsened
+// block.  Every one of the three kernels moves 304 B/point of
+// distributions (19 reads + 19 writes of 8 B) plus its index reads; the
+// AA pattern saves the pull scheme's second array, not bytes per step.
+// The perf model's model_bytes_per_point column still charges AA 152.
+// The table follows the bench_common emit() convention (aligned text,
+// "-- csv --" block, CSV artifact under HEMO_BENCH_CSV_DIR) but the binary
+// stays standalone: it links only hemo_lbm + hemo_geom, not the campaign
+// runtime.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +22,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -170,7 +175,7 @@ void BM_FullSolverStep(benchmark::State& state) {
 BENCHMARK(BM_FullSolverStep);
 
 // ---------------------------------------------------------------------------
-// Pull-vs-AA MFLUPS table on a memory-bound geometry.
+// MFLUPS table: patterns through the solver, kernels per point and per block.
 // ---------------------------------------------------------------------------
 
 struct MflupsResult {
@@ -178,6 +183,27 @@ struct MflupsResult {
   double seconds = 0.0;
   double mflups = 0.0;
 };
+
+/// Times `step` (one update of `points` lattice points) after a warm-up,
+/// over a step count a pilot run sizes to ~0.4 s of wall clock.
+MflupsResult time_steps(std::int64_t points,
+                        const std::function<void()>& step) {
+  for (int s = 0; s < 4; ++s) step();  // warm-up
+  const auto run = [&](std::int64_t steps) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::int64_t s = 0; s < steps; ++s) step();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
+  };
+  const double pilot = run(5) / 5.0;
+  MflupsResult r;
+  r.steps = std::max<std::int64_t>(
+      20, std::min<std::int64_t>(400, static_cast<std::int64_t>(0.4 / pilot)));
+  r.seconds = run(r.steps);
+  r.mflups = static_cast<double>(points) * static_cast<double>(r.steps) /
+             r.seconds / 1e6;
+  return r;
+}
 
 MflupsResult solver_mflups(
     const std::shared_ptr<const lbm::SparseLattice>& lattice,
@@ -187,24 +213,7 @@ MflupsResult solver_mflups(
   options.body_force = {0.0, 0.0, 1e-6};
   options.propagation = pattern;
   lbm::Solver solver(lattice, options);
-  for (int s = 0; s < 4; ++s) solver.step();  // warm-up
-
-  const auto run = [&](std::int64_t steps) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::int64_t s = 0; s < steps; ++s) solver.step();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-
-  // Pilot run sizes the measurement to ~0.4 s of wall clock.
-  const double pilot = run(5) / 5.0;
-  MflupsResult r;
-  r.steps = std::max<std::int64_t>(
-      20, std::min<std::int64_t>(400, static_cast<std::int64_t>(0.4 / pilot)));
-  r.seconds = run(r.steps);
-  r.mflups = static_cast<double>(solver.size()) *
-             static_cast<double>(r.steps) / r.seconds / 1e6;
-  return r;
+  return time_steps(solver.size(), [&] { solver.step(); });
 }
 
 /// bench_common emit() convention (aligned text + "-- csv --" block +
@@ -237,22 +246,62 @@ void report_propagation_mflups() {
   spec.axial_per_scale = 128.0;
   const auto lattice =
       geom::make_cylinder_lattice(spec, geom::CylinderEnds::kPeriodic);
+  const std::int64_t n = lattice->size();
 
-  Table table({"pattern", "points", "steps", "seconds", "mflups",
-               "model_bytes_per_point", "speedup_vs_pull"});
+  Table table({"pattern", "launch", "points", "steps", "seconds", "mflups",
+               "model_bytes_per_point", "speedup_vs_pull", "block_vs_point"});
+  const auto add = [&](const std::string& pattern, const std::string& launch,
+                       const MflupsResult& r, lbm::Propagation model,
+                       const std::string& vs_pull,
+                       const std::string& vs_point) {
+    table.add_row({pattern, launch, std::to_string(n), std::to_string(r.steps),
+                   Table::num(r.seconds), Table::num(r.mflups),
+                   Table::num(lbm::propagation_bytes_per_point(model), 0),
+                   vs_pull, vs_point});
+  };
+
   const MflupsResult pull =
       solver_mflups(lattice, lbm::Propagation::kPullSoA);
   const MflupsResult aa =
       solver_mflups(lattice, lbm::Propagation::kAAInPlace);
-  for (const auto& [pattern, r] :
-       {std::pair{lbm::Propagation::kPullSoA, pull},
-        std::pair{lbm::Propagation::kAAInPlace, aa}}) {
-    table.add_row({lbm::propagation_name(pattern),
-                   std::to_string(lattice->size()), std::to_string(r.steps),
-                   Table::num(r.seconds),
-                   Table::num(r.mflups),
-                   Table::num(lbm::propagation_bytes_per_point(pattern), 0),
-                   Table::num(r.mflups / pull.mflups, 2)});
+  add("pull-soa", "solver", pull, lbm::Propagation::kPullSoA, "1", "-");
+  add("aa-in-place", "solver", aa, lbm::Propagation::kAAInPlace,
+      Table::num(aa.mflups / pull.mflups, 2), "-");
+
+  // One kernel sweep per step, on the same lattice: the point kernel once
+  // per point, or the block kernel once per block of lbm::kBlock points.
+  KernelFixture fx(geom::CylinderEnds::kPeriodic, spec.radius_per_scale,
+                   spec.axial_per_scale);
+  lbm::KernelArgs& a = fx.args;
+  a.f = fx.f_out.data();
+  std::copy(fx.f_in.begin(), fx.f_in.end(), fx.f_out.begin());
+  using PointKernel = void (*)(const lbm::KernelArgs&, std::int64_t);
+  using BlockKernel =
+      void (*)(const lbm::KernelArgs&, std::int64_t, std::int64_t);
+  struct Family {
+    const char* name;
+    lbm::Propagation model;
+    PointKernel point;
+    BlockKernel block;
+  };
+  for (const Family& k :
+       {Family{"pull", lbm::Propagation::kPullSoA, lbm::stream_collide_point,
+               lbm::stream_collide_block},
+        Family{"aa-even", lbm::Propagation::kAAInPlace,
+               lbm::stream_collide_point_aa_even,
+               lbm::stream_collide_block_aa_even},
+        Family{"aa-odd", lbm::Propagation::kAAInPlace,
+               lbm::stream_collide_point_aa_odd,
+               lbm::stream_collide_block_aa_odd}}) {
+    const MflupsResult point = time_steps(n, [&] {
+      for (std::int64_t i = 0; i < n; ++i) k.point(a, i);
+    });
+    const MflupsResult block = time_steps(n, [&] {
+      for (std::int64_t b = 0; b < lbm::block_count(n); ++b) k.block(a, b, n);
+    });
+    add(k.name, "point", point, k.model, "-", "1");
+    add(k.name, "block", block, k.model, "-",
+        Table::num(block.mflups / point.mflups, 2));
   }
   emit_table("lbm_propagation_mflups", table);
 }

@@ -213,11 +213,12 @@ const SymTab& kernel_args_fields() {
 }
 
 /// Per-call flop cost of leaf functions the walk does not inline (their
-/// bodies touch only lattice constants, never device memory).
+/// bodies touch only lattice constants, never device memory).  dot_c is
+/// charged as the three-product sum c_q . v it computes.
 const std::map<std::string, double>& intrinsic_flops() {
   static const std::map<std::string, double> table = {
       {"equilibrium", 12.0}, {"c", 0.0}, {"opposite", 0.0},
-      {"pulsatile_scale", 6.0},
+      {"dot_c", 5.0}, {"pulsatile_scale", 6.0},
   };
   return table;
 }
@@ -474,6 +475,10 @@ class BlockParser {
     while (true) {
       skip_ws(text_, pos, end);
       if (pos >= end) break;
+      if (text_[pos] == '#') {  // preprocessor line (#pragma): no traffic
+        while (pos < end && text_[pos] != '\n') ++pos;
+        continue;
+      }
       if (text_[pos] == '{') {  // bare scope
         const std::size_t close = match_delim(text_, pos);
         seq->children.push_back(parse_block(pos + 1, close - 1));
@@ -697,8 +702,10 @@ class Evaluator {
       return out;
     }
 
-    // Calls into the shared inline kernel bodies.
-    static const std::regex kCall(R"(([A-Za-z_][A-Za-z0-9_:]*)\s*\()");
+    // Calls into the shared inline kernel bodies, with or without explicit
+    // template arguments (`moments_lanes<1>(...)`).
+    static const std::regex kCall(
+        R"(([A-Za-z_][A-Za-z0-9_:]*)\s*(?:<[^<>();]*>)?\s*\()");
     for (auto it = std::sregex_iterator(stmt.begin(), stmt.end(), kCall);
          it != std::sregex_iterator(); ++it) {
       const std::size_t name_pos = static_cast<std::size_t>(it->position(1));

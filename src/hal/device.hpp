@@ -24,7 +24,10 @@ struct EngineCounters {
   std::int64_t bytes_d2h = 0;
   std::int64_t bytes_d2d = 0;
   std::int64_t kernel_launches = 0;
-  std::int64_t kernel_indices = 0;  // total work-items executed
+  // Work items executed, summed over launches.  A coarsened launch runs
+  // one work item per block of points (lbm::kBlock), so for the solvers'
+  // stream-collide launches this counts blocks, not lattice points.
+  std::int64_t kernel_indices = 0;
 };
 
 class DeviceEngine {
@@ -57,8 +60,22 @@ class DeviceEngine {
 
   /// Executes fn(i) for every i in [0, n).  With more than one worker
   /// thread the range is split into contiguous chunks; the kernel bodies
-  /// used in HemoFlow write only to index i, so chunking is race-free.
-  void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
+  /// used in HemoFlow write only to the points of work item i, so chunking
+  /// is race-free.  Templated on the functor so the per-index body
+  /// inlines; only the hand-off of a chunk to a worker is type-erased.
+  template <typename Fn>
+  void parallel_for(std::int64_t n, Fn&& fn) {
+    ++counters_.kernel_launches;
+    counters_.kernel_indices += n;
+    if (n <= 0) return;
+    if (threads_ <= 1 || n < 2 * threads_) {
+      for (std::int64_t i = 0; i < n; ++i) fn(i);
+      return;
+    }
+    run_chunks(n, [&fn](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) fn(i);
+    });
+  }
 
   /// Number of worker threads used by parallel_for (default 1).
   void set_threads(int threads);
@@ -71,6 +88,11 @@ class DeviceEngine {
   std::size_t live_allocations() const { return allocations_.size(); }
 
  private:
+  /// Splits [0, n) into threads() contiguous chunks and runs chunk(lo, hi)
+  /// for each on its own thread, returning once all have finished.
+  void run_chunks(std::int64_t n,
+                  const std::function<void(std::int64_t, std::int64_t)>& chunk);
+
   std::unordered_map<void*, std::unique_ptr<std::byte[]>> allocations_;
   std::unordered_map<const void*, std::size_t> sizes_;
   EngineCounters counters_;

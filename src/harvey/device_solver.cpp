@@ -4,6 +4,7 @@
 
 #include "base/contracts.hpp"
 #include "hal/cudax.hpp"
+#include "hal/device.hpp"
 #include "hal/hipx.hpp"
 #include "hal/kokkosx.hpp"
 #include "hal/syclx.hpp"
@@ -88,6 +89,8 @@ struct DeviceSolver::Impl {
   /// post-collision SoA, or the AA in-place array); DeviceSolver
   /// canonicalizes on the host.
   virtual std::vector<double> distributions() const = 0;
+  /// Device pointer to that raw array, for reads of single values.
+  virtual const double* live_data() const = 0;
 };
 
 namespace {
@@ -134,8 +137,9 @@ class CudaxImpl final : public DeviceSolver::Impl {
   void step(const lbm::SolverOptions& options,
             std::int64_t steps_done) override {
     const unsigned block = 256;
-    const auto grid =
-        static_cast<unsigned>((n_ + block - 1) / static_cast<std::int64_t>(block));
+    const std::int64_t blocks = lbm::block_count(n_);
+    const auto grid = static_cast<unsigned>(
+        (blocks + block - 1) / static_cast<std::int64_t>(block));
     const std::int64_t n = n_;
     if (pattern_ == lbm::Propagation::kAAInPlace) {
       const lbm::KernelArgs args = make_aa_args(
@@ -144,17 +148,17 @@ class CudaxImpl final : public DeviceSolver::Impl {
           static_cast<const std::uint8_t*>(node_type_), n_, options);
       if (steps_done % 2 == 0) {
         HEMO_ENSURES(cudaxLaunchKernel(dim3x(grid), dim3x(block),
-                                       [args, n](std::int64_t i) {
-                                         if (i >= n) return;
-                                         lbm::stream_collide_point_aa_even(
-                                             args, i);
+                                       [args, n, blocks](std::int64_t b) {
+                                         if (b >= blocks) return;
+                                         lbm::stream_collide_block_aa_even(
+                                             args, b, n);
                                        }) == cudaxSuccess);
       } else {
         HEMO_ENSURES(cudaxLaunchKernel(dim3x(grid), dim3x(block),
-                                       [args, n](std::int64_t i) {
-                                         if (i >= n) return;
-                                         lbm::stream_collide_point_aa_odd(
-                                             args, i);
+                                       [args, n, blocks](std::int64_t b) {
+                                         if (b >= blocks) return;
+                                         lbm::stream_collide_block_aa_odd(
+                                             args, b, n);
                                        }) == cudaxSuccess);
       }
       HEMO_ENSURES(cudaxDeviceSynchronize() == cudaxSuccess);
@@ -165,9 +169,9 @@ class CudaxImpl final : public DeviceSolver::Impl {
         static_cast<const PointIndex*>(adjacency_),
         static_cast<const std::uint8_t*>(node_type_), n_, options);
     HEMO_ENSURES(cudaxLaunchKernel(dim3x(grid), dim3x(block),
-                                   [args, n](std::int64_t i) {
-                                     if (i >= n) return;
-                                     lbm::stream_collide_point(args, i);
+                                   [args, n, blocks](std::int64_t b) {
+                                     if (b >= blocks) return;
+                                     lbm::stream_collide_block(args, b, n);
                                    }) == cudaxSuccess);
     HEMO_ENSURES(cudaxDeviceSynchronize() == cudaxSuccess);
     std::swap(f_a_, f_b_);
@@ -178,6 +182,10 @@ class CudaxImpl final : public DeviceSolver::Impl {
     HEMO_ENSURES(cudaxMemcpy(out.data(), f_a_, out.size() * sizeof(double),
                              cudaxMemcpyDeviceToHost) == cudaxSuccess);
     return out;
+  }
+
+  const double* live_data() const override {
+    return static_cast<const double*>(f_a_);
   }
 
  private:
@@ -224,8 +232,9 @@ class HipxImpl final : public DeviceSolver::Impl {
   void step(const lbm::SolverOptions& options,
             std::int64_t steps_done) override {
     const unsigned block = 256;
-    const auto grid =
-        static_cast<unsigned>((n_ + block - 1) / static_cast<std::int64_t>(block));
+    const std::int64_t blocks = lbm::block_count(n_);
+    const auto grid = static_cast<unsigned>(
+        (blocks + block - 1) / static_cast<std::int64_t>(block));
     const std::int64_t n = n_;
     if (pattern_ == lbm::Propagation::kAAInPlace) {
       const lbm::KernelArgs args = make_aa_args(
@@ -234,17 +243,17 @@ class HipxImpl final : public DeviceSolver::Impl {
           static_cast<const std::uint8_t*>(node_type_), n_, options);
       if (steps_done % 2 == 0) {
         HEMO_ENSURES(hipxLaunchKernel(dim3x(grid), dim3x(block),
-                                      [args, n](std::int64_t i) {
-                                        if (i >= n) return;
-                                        lbm::stream_collide_point_aa_even(
-                                            args, i);
+                                      [args, n, blocks](std::int64_t b) {
+                                        if (b >= blocks) return;
+                                        lbm::stream_collide_block_aa_even(
+                                            args, b, n);
                                       }) == hipxSuccess);
       } else {
         HEMO_ENSURES(hipxLaunchKernel(dim3x(grid), dim3x(block),
-                                      [args, n](std::int64_t i) {
-                                        if (i >= n) return;
-                                        lbm::stream_collide_point_aa_odd(
-                                            args, i);
+                                      [args, n, blocks](std::int64_t b) {
+                                        if (b >= blocks) return;
+                                        lbm::stream_collide_block_aa_odd(
+                                            args, b, n);
                                       }) == hipxSuccess);
       }
       HEMO_ENSURES(hipxDeviceSynchronize() == hipxSuccess);
@@ -255,9 +264,9 @@ class HipxImpl final : public DeviceSolver::Impl {
         static_cast<const PointIndex*>(adjacency_),
         static_cast<const std::uint8_t*>(node_type_), n_, options);
     HEMO_ENSURES(hipxLaunchKernel(dim3x(grid), dim3x(block),
-                                  [args, n](std::int64_t i) {
-                                    if (i >= n) return;
-                                    lbm::stream_collide_point(args, i);
+                                  [args, n, blocks](std::int64_t b) {
+                                    if (b >= blocks) return;
+                                    lbm::stream_collide_block(args, b, n);
                                   }) == hipxSuccess);
     HEMO_ENSURES(hipxDeviceSynchronize() == hipxSuccess);
     std::swap(f_a_, f_b_);
@@ -268,6 +277,10 @@ class HipxImpl final : public DeviceSolver::Impl {
     HEMO_ENSURES(hipxMemcpy(out.data(), f_a_, out.size() * sizeof(double),
                             hipxMemcpyDeviceToHost) == hipxSuccess);
     return out;
+  }
+
+  const double* live_data() const override {
+    return static_cast<const double*>(f_a_);
   }
 
  private:
@@ -314,18 +327,20 @@ class SyclxImpl final : public DeviceSolver::Impl {
   void step(const lbm::SolverOptions& options,
             std::int64_t steps_done) override {
     namespace sx = hal::syclx;
+    const std::int64_t blocks = lbm::block_count(n_);
     if (pattern_ == lbm::Propagation::kAAInPlace) {
       const lbm::KernelArgs args =
           make_aa_args(f_a_, adjacency_, node_type_, n_, options);
       const bool even = steps_done % 2 == 0;
+      const std::int64_t n = n_;
       queue_.submit([&](sx::handler& h) {
-        h.parallel_for(sx::range<1>(static_cast<std::size_t>(n_)),
-                       [args, even](sx::id<1> i) {
-                         const auto p = static_cast<std::int64_t>(i);
+        h.parallel_for(sx::range<1>(static_cast<std::size_t>(blocks)),
+                       [args, even, n](sx::id<1> i) {
+                         const auto b = static_cast<std::int64_t>(i);
                          if (even) {
-                           lbm::stream_collide_point_aa_even(args, p);
+                           lbm::stream_collide_block_aa_even(args, b, n);
                          } else {
-                           lbm::stream_collide_point_aa_odd(args, p);
+                           lbm::stream_collide_block_aa_odd(args, b, n);
                          }
                        });
       });
@@ -334,11 +349,12 @@ class SyclxImpl final : public DeviceSolver::Impl {
     }
     const lbm::KernelArgs args =
         make_args(f_a_, f_b_, adjacency_, node_type_, n_, options);
+    const std::int64_t n = n_;
     queue_.submit([&](sx::handler& h) {
-      h.parallel_for(sx::range<1>(static_cast<std::size_t>(n_)),
-                     [args](sx::id<1> i) {
-                       lbm::stream_collide_point(args,
-                                                 static_cast<std::int64_t>(i));
+      h.parallel_for(sx::range<1>(static_cast<std::size_t>(blocks)),
+                     [args, n](sx::id<1> i) {
+                       lbm::stream_collide_block(
+                           args, static_cast<std::int64_t>(i), n);
                      });
     });
     queue_.wait();
@@ -351,6 +367,8 @@ class SyclxImpl final : public DeviceSolver::Impl {
         out.data(), f_a_, out.size() * sizeof(double));
     return out;
   }
+
+  const double* live_data() const override { return f_a_; }
 
  private:
   hal::syclx::queue queue_;
@@ -396,18 +414,20 @@ class KokkosxImpl final : public DeviceSolver::Impl {
   void step(const lbm::SolverOptions& options,
             std::int64_t steps_done) override {
     namespace kx = hal::kokkosx;
+    const kx::RangePolicy blocks(0, lbm::block_count(n_));
+    const std::int64_t n = n_;
     if (pattern_ == lbm::Propagation::kAAInPlace) {
       const lbm::KernelArgs args = make_aa_args(
           f_a_.data(), adjacency_.data(), node_type_.data(), n_, options);
       if (steps_done % 2 == 0) {
-        kx::parallel_for("stream_collide_aa_even", kx::RangePolicy(0, n_),
-                         [args](std::int64_t i) {
-                           lbm::stream_collide_point_aa_even(args, i);
+        kx::parallel_for("stream_collide_aa_even", blocks,
+                         [args, n](std::int64_t b) {
+                           lbm::stream_collide_block_aa_even(args, b, n);
                          });
       } else {
-        kx::parallel_for("stream_collide_aa_odd", kx::RangePolicy(0, n_),
-                         [args](std::int64_t i) {
-                           lbm::stream_collide_point_aa_odd(args, i);
+        kx::parallel_for("stream_collide_aa_odd", blocks,
+                         [args, n](std::int64_t b) {
+                           lbm::stream_collide_block_aa_odd(args, b, n);
                          });
       }
       kx::fence();
@@ -416,10 +436,9 @@ class KokkosxImpl final : public DeviceSolver::Impl {
     const lbm::KernelArgs args = make_args(f_a_.data(), f_b_.data(),
                                            adjacency_.data(),
                                            node_type_.data(), n_, options);
-    kx::parallel_for("stream_collide", kx::RangePolicy(0, n_),
-                     [args](std::int64_t i) {
-                       lbm::stream_collide_point(args, i);
-                     });
+    kx::parallel_for("stream_collide", blocks, [args, n](std::int64_t b) {
+      lbm::stream_collide_block(args, b, n);
+    });
     kx::fence();
     std::swap(f_a_, f_b_);
   }
@@ -430,6 +449,8 @@ class KokkosxImpl final : public DeviceSolver::Impl {
     kx::deep_copy(mirror, f_a_);
     return std::vector<double>(mirror.data(), mirror.data() + f_a_.extent(0));
   }
+
+  const double* live_data() const override { return f_a_.data(); }
 
  private:
   std::int64_t n_;
@@ -515,11 +536,21 @@ std::vector<lbm::TileDigest> DeviceSolver::tile_digests(
 
 lbm::Moments DeviceSolver::moments(PointIndex i) const {
   HEMO_EXPECTS(i >= 0 && i < lattice_->size());
-  const std::vector<double> f = distributions();
-  const auto n = static_cast<std::size_t>(lattice_->size());
+  // Only point i's 19 canonical values cross to the host, each read from
+  // the live slot that holds it at the current AA parity.
+  const std::int64_t n = lattice_->size();
+  const bool aa = options_.propagation == lbm::Propagation::kAAInPlace;
+  const double* live = impl_->live_data();
   double fi[lbm::kQ];
-  for (int q = 0; q < lbm::kQ; ++q)
-    fi[q] = f[static_cast<std::size_t>(q) * n + static_cast<std::size_t>(i)];
+  for (int q = 0; q < lbm::kQ; ++q) {
+    const std::size_t slot =
+        aa ? lbm::aa_canonical_slot(lattice_->adjacency().data(), n,
+                                    steps_done_, q, i)
+           : static_cast<std::size_t>(q) * static_cast<std::size_t>(n) +
+                 static_cast<std::size_t>(i);
+    hal::DeviceEngine::instance().copy_d2h(&fi[q], live + slot,
+                                           sizeof(double));
+  }
   return lbm::moments_of(fi, options_.body_force.x, options_.body_force.y,
                          options_.body_force.z);
 }

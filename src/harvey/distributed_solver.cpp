@@ -249,14 +249,17 @@ void DistributedSolver::set_execution_model(hal::Model model) {
 void DistributedSolver::execute_rank_kernel(RankState& rs) {
   if (rs.owned == 0) return;  // dead rank post-shrink: nothing to launch
   const lbm::KernelArgs a = rank_args(rs);
+  // One work item per block of owned points; a.n is the stride over owned
+  // points and ghosts, so the block kernels are bounded by `owned`.
   const std::int64_t owned = rs.owned;
-  auto body = [a, owned](std::int64_t i) {
-    if (i >= owned) return;  // dialect grids round up to block multiples
-    lbm::stream_collide_point(a, i);
+  const std::int64_t blocks = lbm::block_count(owned);
+  auto body = [a, owned, blocks](std::int64_t b) {
+    if (b >= blocks) return;  // dialect grids round up to block multiples
+    lbm::stream_collide_block(a, b, owned);
   };
 
   if (!model_.has_value()) {
-    for (std::int64_t i = 0; i < owned; ++i) lbm::stream_collide_point(a, i);
+    for (std::int64_t b = 0; b < blocks; ++b) body(b);
     return;
   }
   switch (hal::backend_of(*model_)) {
@@ -264,12 +267,12 @@ void DistributedSolver::execute_rank_kernel(RankState& rs) {
     case hal::Backend::kOpenAcc: {
       if (hal::is_kokkos(*model_)) {
         hal::kokkosx::parallel_for("stream_collide",
-                                   hal::kokkosx::RangePolicy(0, owned),
+                                   hal::kokkosx::RangePolicy(0, blocks),
                                    body);
       } else {
         const unsigned block = 256;
         const auto grid = static_cast<unsigned>(
-            (owned + block - 1) / static_cast<std::int64_t>(block));
+            (blocks + block - 1) / static_cast<std::int64_t>(block));
         HEMO_ENSURES(cudaxLaunchKernel(dim3x(grid), dim3x(block), body) ==
                      cudaxSuccess);
       }
@@ -278,12 +281,12 @@ void DistributedSolver::execute_rank_kernel(RankState& rs) {
     case hal::Backend::kHip: {
       if (hal::is_kokkos(*model_)) {
         hal::kokkosx::parallel_for("stream_collide",
-                                   hal::kokkosx::RangePolicy(0, owned),
+                                   hal::kokkosx::RangePolicy(0, blocks),
                                    body);
       } else {
         const unsigned block = 256;
         const auto grid = static_cast<unsigned>(
-            (owned + block - 1) / static_cast<std::int64_t>(block));
+            (blocks + block - 1) / static_cast<std::int64_t>(block));
         HEMO_ENSURES(hipxLaunchKernel(dim3x(grid), dim3x(block), body) ==
                      hipxSuccess);
       }
@@ -292,12 +295,12 @@ void DistributedSolver::execute_rank_kernel(RankState& rs) {
     case hal::Backend::kSycl: {
       if (hal::is_kokkos(*model_)) {
         hal::kokkosx::parallel_for("stream_collide",
-                                   hal::kokkosx::RangePolicy(0, owned),
+                                   hal::kokkosx::RangePolicy(0, blocks),
                                    body);
       } else {
         hal::syclx::queue queue;
         queue.parallel_for(
-            hal::syclx::range<1>(static_cast<std::size_t>(owned)),
+            hal::syclx::range<1>(static_cast<std::size_t>(blocks)),
             [body](hal::syclx::id<1> i) {
               body(static_cast<std::int64_t>(i));
             });
@@ -730,12 +733,16 @@ bool DistributedSolver::reexec_vote_sample() {
       const std::int64_t begin = t * pol.tile_points;
       const std::int64_t end =
           std::min(begin + pol.tile_points, rs.owned);
+      // The same block kernels the step ran, over the blocks covering the
+      // tile; a block straddling a tile edge only writes scratch outside
+      // the compared range.
+      const std::int64_t b_end = lbm::block_count(end);
       a.f_out = reexec_scratch_a_.data();
-      for (std::int64_t i = begin; i < end; ++i)
-        lbm::stream_collide_point(a, i);
+      for (std::int64_t b = begin / lbm::kBlock; b < b_end; ++b)
+        lbm::stream_collide_block(a, b, rs.owned);
       a.f_out = reexec_scratch_b_.data();
-      for (std::int64_t i = begin; i < end; ++i)
-        lbm::stream_collide_point(a, i);
+      for (std::int64_t b = begin / lbm::kBlock; b < b_end; ++b)
+        lbm::stream_collide_block(a, b, rs.owned);
 
       bool votes_agree = true;
       bool matches_live = true;

@@ -26,6 +26,7 @@
 // always stores the canonical snapshot, and the solver decanonicalizes on
 // restore according to the restored step counter.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "base/types.hpp"
@@ -34,6 +35,24 @@
 
 namespace hemo::lbm {
 
+/// Index into the AA array of the slot holding canonical value (q, i):
+/// the single-value form of aa_canonicalize below.
+inline std::size_t aa_canonical_slot(const PointIndex* adjacency,
+                                     std::int64_t n, std::int64_t steps_done,
+                                     int q, PointIndex i) {
+  const auto un = static_cast<std::size_t>(n);
+  const std::size_t qo = static_cast<std::size_t>(opposite(q)) * un;
+  const auto ui = static_cast<std::size_t>(i);
+  if (steps_done % 2 != 0) return qo + ui;
+  // The odd step scattered this point's result q downstream (to the
+  // neighbor in the +c_q direction, i.e. the pull-upstream of opp q), or
+  // bounced it into the point's own opposite slot at a wall.
+  const PointIndex down = adjacency[qo + ui];
+  return down != kSolidNeighbor
+             ? static_cast<std::size_t>(q) * un + static_cast<std::size_t>(down)
+             : qo + ui;
+}
+
 /// Rebuilds the canonical post-collision snapshot from an AA array.
 /// `adjacency` is the pull-neighbor table (kQ * n, q-major),
 /// `steps_done` the solver's step counter (its parity selects the
@@ -41,28 +60,10 @@ namespace hemo::lbm {
 inline void aa_canonicalize(const PointIndex* adjacency, std::int64_t n,
                             std::int64_t steps_done, const double* aa,
                             double* canonical) {
-  const auto un = static_cast<std::size_t>(n);
-  if (steps_done % 2 != 0) {
-    for (int q = 0; q < kQ; ++q) {
-      const std::size_t qo = static_cast<std::size_t>(opposite(q)) * un;
-      const std::size_t qs = static_cast<std::size_t>(q) * un;
-      for (std::size_t i = 0; i < un; ++i) canonical[qs + i] = aa[qo + i];
-    }
-    return;
-  }
-  for (int q = 0; q < kQ; ++q) {
-    const std::size_t qo = static_cast<std::size_t>(opposite(q)) * un;
-    const std::size_t qs = static_cast<std::size_t>(q) * un;
-    for (std::size_t i = 0; i < un; ++i) {
-      // The odd step scattered this point's result q downstream (to the
-      // neighbor in the +c_q direction, i.e. the pull-upstream of opp q),
-      // or bounced it into the point's own opposite slot at a wall.
-      const PointIndex down = adjacency[qo + i];
-      canonical[qs + i] = down != kSolidNeighbor
-                              ? aa[qs + static_cast<std::size_t>(down)]
-                              : aa[qo + i];
-    }
-  }
+  double* out = canonical;
+  for (int q = 0; q < kQ; ++q)
+    for (PointIndex i = 0; i < n; ++i)
+      *out++ = aa[aa_canonical_slot(adjacency, n, steps_done, q, i)];
 }
 
 /// Inverse of aa_canonicalize: lays a canonical snapshot out as the AA

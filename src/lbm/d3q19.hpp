@@ -53,10 +53,24 @@ constexpr Coord velocity(int q) {
 /// Component a (0..2) of velocity q.
 constexpr int c(int q, int a) { return kVelocities[q][a]; }
 
+/// c_q . (x, y, z).  Components are 0 or +/-1, so a zero term is
+/// skipped and a unit term adds or subtracts; the sum starts from -0.0,
+/// the exact additive identity.  Once q is a compile-time constant (the
+/// kernels fully unroll their q loops) this folds to at most one add, and
+/// for finite inputs it equals the three-product sum up to the sign of a
+/// zero result.
+constexpr double dot_c(int q, double x, double y, double z) {
+  double s = -0.0;
+  if (c(q, 0) != 0) s += c(q, 0) * x;
+  if (c(q, 1) != 0) s += c(q, 1) * y;
+  if (c(q, 2) != 0) s += c(q, 2) * z;
+  return s;
+}
+
 /// BGK second-order equilibrium distribution for direction q.
 constexpr double equilibrium(int q, double rho, double ux, double uy,
                              double uz) {
-  const double cu = c(q, 0) * ux + c(q, 1) * uy + c(q, 2) * uz;
+  const double cu = dot_c(q, ux, uy, uz);
   const double u2 = ux * ux + uy * uy + uz * uz;
   return kWeights[q] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * u2);
 }

@@ -29,7 +29,18 @@
 // (non-equilibrium bounce-back) construction before colliding; both
 // patterns and both layouts share one boundary-completion helper so the
 // variants cannot drift.
+//
+// Coarsened launch: the solvers launch one work item per block of kBlock
+// consecutive points (stream_collide_block*), not one per point.  A block
+// whose points are all bulk gathers its kBlock x 19 values into lanes,
+// collides them together and stores or scatters them; a block holding any
+// inlet/outlet point, or running past the update extent, falls back to the
+// point kernels point by point.  There is one collide body, templated on
+// the lane count (detail::moments_lanes / bgk_collide_lanes); moments_of
+// and bgk_collide are its one-lane use, so the point and block kernels
+// cannot drift and produce the same bits per point.
 
+#include <algorithm>
 #include <cstdint>
 
 #include "base/types.hpp"
@@ -46,7 +57,7 @@ struct KernelArgs {
   double* f = nullptr;             // AA: the single in-place array
   const PointIndex* adjacency = nullptr;  // kQ * n, q-major, pull neighbors
   const std::uint8_t* node_type = nullptr;  // NodeType per point
-  std::int64_t n = 0;              // number of fluid points
+  std::int64_t n = 0;              // SoA stride: points per q row
   double omega = 1.0;              // BGK relaxation rate (1/tau)
   double force_x = 0.0, force_y = 0.0, force_z = 0.0;  // body force (Guo)
   double inlet_velocity = 0.0;     // prescribed u_z at velocity inlets
@@ -58,35 +69,84 @@ struct Moments {
   double ux = 0.0, uy = 0.0, uz = 0.0;
 };
 
+/// Moments of L points collided together, one lane per point.
+template <int L>
+struct LaneMoments {
+  double rho[L], ux[L], uy[L], uz[L];
+};
+
+namespace detail {
+
+// The collide body, shared by the point kernels (L = 1, through
+// moments_of and bgk_collide) and the block kernels (L = kBlock).
+// Distribution sets are lane-minor, value (q, l) at f[q * L + l], so each
+// per-q operation runs across the lanes as straight vector code.  The q
+// loops are fully unrolled, which makes every c(q, a) a compile-time
+// constant: zero terms drop out and unit terms add or subtract.  Each lane
+// sees the operations in the order of the plain loop over q, so the lane
+// count does not change the bits.
+
+/// Density and (force-corrected) velocity moments of L lanes.
+template <int L>
+inline void moments_lanes(const double f[kQ * L], double fx, double fy,
+                          double fz, LaneMoments<L>& m) {
+  for (int l = 0; l < L; ++l) {
+    m.rho[l] = 0.0;
+    m.ux[l] = 0.0;
+    m.uy[l] = 0.0;
+    m.uz[l] = 0.0;
+  }
+#pragma GCC unroll 19
+  for (int q = 0; q < kQ; ++q) {
+    for (int l = 0; l < L; ++l) {
+      m.rho[l] += f[q * L + l];
+      if (c(q, 0) != 0) m.ux[l] += f[q * L + l] * c(q, 0);
+      if (c(q, 1) != 0) m.uy[l] += f[q * L + l] * c(q, 1);
+      if (c(q, 2) != 0) m.uz[l] += f[q * L + l] * c(q, 2);
+    }
+  }
+  for (int l = 0; l < L; ++l) {
+    // Guo forcing: macroscopic velocity includes half the force impulse.
+    m.ux[l] = (m.ux[l] + 0.5 * fx) / m.rho[l];
+    m.uy[l] = (m.uy[l] + 0.5 * fy) / m.rho[l];
+    m.uz[l] = (m.uz[l] + 0.5 * fz) / m.rho[l];
+  }
+}
+
+/// BGK relaxation with the Guo forcing term over L lanes.
+template <int L>
+inline void bgk_collide_lanes(const double f[kQ * L], const LaneMoments<L>& m,
+                              double omega, double fx, double fy, double fz,
+                              double out[kQ * L]) {
+  const double prefactor = 1.0 - 0.5 * omega;
+#pragma GCC unroll 19
+  for (int q = 0; q < kQ; ++q) {
+    const double cf = dot_c(q, fx, fy, fz);
+    for (int l = 0; l < L; ++l) {
+      const double feq = equilibrium(q, m.rho[l], m.ux[l], m.uy[l], m.uz[l]);
+      const double cu = dot_c(q, m.ux[l], m.uy[l], m.uz[l]);
+      const double uf = m.ux[l] * fx + m.uy[l] * fy + m.uz[l] * fz;
+      const double source =
+          prefactor * kWeights[q] * (3.0 * (cf - uf) + 9.0 * cu * cf);
+      out[q * L + l] = f[q * L + l] - omega * (f[q * L + l] - feq) + source;
+    }
+  }
+}
+
+}  // namespace detail
+
 /// Density and (force-corrected) velocity moments of one distribution set.
 inline Moments moments_of(const double f[kQ], double fx, double fy, double fz) {
-  Moments m;
-  for (int q = 0; q < kQ; ++q) {
-    m.rho += f[q];
-    m.ux += f[q] * c(q, 0);
-    m.uy += f[q] * c(q, 1);
-    m.uz += f[q] * c(q, 2);
-  }
-  // Guo forcing: macroscopic velocity includes half the force impulse.
-  m.ux = (m.ux + 0.5 * fx) / m.rho;
-  m.uy = (m.uy + 0.5 * fy) / m.rho;
-  m.uz = (m.uz + 0.5 * fz) / m.rho;
-  return m;
+  LaneMoments<1> m;
+  detail::moments_lanes<1>(f, fx, fy, fz, m);
+  return Moments{m.rho[0], m.ux[0], m.uy[0], m.uz[0]};
 }
 
 /// BGK relaxation with the Guo forcing term, writing post-collision values.
 inline void bgk_collide(const double f[kQ], const Moments& m, double omega,
                         double fx, double fy, double fz, double out[kQ]) {
-  const double prefactor = 1.0 - 0.5 * omega;
-  for (int q = 0; q < kQ; ++q) {
-    const double feq = equilibrium(q, m.rho, m.ux, m.uy, m.uz);
-    const double cu = c(q, 0) * m.ux + c(q, 1) * m.uy + c(q, 2) * m.uz;
-    const double cf = c(q, 0) * fx + c(q, 1) * fy + c(q, 2) * fz;
-    const double uf = m.ux * fx + m.uy * fy + m.uz * fz;
-    const double source =
-        prefactor * kWeights[q] * (3.0 * (cf - uf) + 9.0 * cu * cf);
-    out[q] = f[q] - omega * (f[q] - feq) + source;
-  }
+  const LaneMoments<1> lanes{{m.rho}, {m.ux}, {m.uy}, {m.uz}};
+  detail::bgk_collide_lanes<1>(f, lanes, omega, fx, fy, fz, out);
 }
 
 namespace detail {
@@ -361,6 +421,150 @@ inline void stream_collide_point_aa_odd(const KernelArgs& a, std::int64_t i) {
       a.f[static_cast<std::size_t>(q) * a.n + down] = out[q];
     } else {
       a.f[static_cast<std::size_t>(opposite(q)) * a.n + i] = out[q];
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Coarsened (block) kernels: work item b updates points
+// [b * kBlock, min((b + 1) * kBlock, extent)).  The update extent is
+// separate from the SoA stride a.n because a distributed rank updates only
+// its owned points while its arrays also hold ghosts.
+// ---------------------------------------------------------------------------
+
+/// Consecutive points one work item of a coarsened launch updates.
+inline constexpr std::int64_t kBlock = 4;
+
+/// Work items of a coarsened launch over `extent` points.
+constexpr std::int64_t block_count(std::int64_t extent) {
+  return (extent + kBlock - 1) / kBlock;
+}
+
+namespace detail {
+
+/// True when the kBlock points from i0 all lie inside the extent and are
+/// all bulk points (no Zou-He completion): only such blocks take the lane
+/// path.
+inline bool bulk_block(const KernelArgs& a, std::int64_t i0,
+                       std::int64_t extent) {
+  if (i0 + kBlock > extent) return false;
+  bool bulk = true;
+  for (std::int64_t l = 0; l < kBlock; ++l)
+    bulk &= a.node_type[i0 + l] == static_cast<std::uint8_t>(NodeType::kBulk);
+  return bulk;
+}
+
+/// Fallback of a block that cannot take the lane path: its points in
+/// order, through the point kernel.
+template <typename PointKernel>
+inline void block_by_points(PointKernel point, const KernelArgs& a,
+                            std::int64_t i0, std::int64_t extent) {
+  const std::int64_t end = std::min(i0 + kBlock, extent);
+  for (std::int64_t i = i0; i < end; ++i) point(a, i);
+}
+
+/// The shared collide body over one block's lanes.
+inline void collide_block(const KernelArgs& a, const double f[kQ * kBlock],
+                          double out[kQ * kBlock]) {
+  LaneMoments<kBlock> m;
+  moments_lanes<kBlock>(f, a.force_x, a.force_y, a.force_z, m);
+  bgk_collide_lanes<kBlock>(f, m, a.omega, a.force_x, a.force_y, a.force_z,
+                            out);
+}
+
+}  // namespace detail
+
+/// Pull stream-collide for block b: stream_collide_point on each of its
+/// points, with the collide run across the block's lanes when all of them
+/// are bulk.  A bulk point has no unknown populations, so its gather is
+/// the fluid neighbor's value or the bounce-back value, a per-lane select.
+inline void stream_collide_block(const KernelArgs& a, std::int64_t b,
+                                 std::int64_t extent) {
+  const std::int64_t i0 = b * kBlock;
+  if (!detail::bulk_block(a, i0, extent)) {
+    detail::block_by_points(stream_collide_point, a, i0, extent);
+    return;
+  }
+  const auto n = static_cast<std::size_t>(a.n);
+  const auto i = static_cast<std::size_t>(i0);
+  double f[kQ * kBlock];
+  for (int q = 0; q < kQ; ++q) {
+    const PointIndex* up = a.adjacency + static_cast<std::size_t>(q) * n + i;
+    const double* in = a.f_in + static_cast<std::size_t>(q) * n;
+    const double* wall = a.f_in + static_cast<std::size_t>(opposite(q)) * n + i;
+    for (int l = 0; l < kBlock; ++l)
+      f[q * kBlock + l] = up[l] != kSolidNeighbor
+                              ? in[static_cast<std::size_t>(up[l])]
+                              : wall[l];
+  }
+  double out[kQ * kBlock];
+  detail::collide_block(a, f, out);
+  for (int q = 0; q < kQ; ++q)
+    for (int l = 0; l < kBlock; ++l)
+      a.f_out[static_cast<std::size_t>(q) * n + i + l] = out[q * kBlock + l];
+}
+
+/// AA even step for block b: the block form of stream_collide_point_aa_even
+/// (straight-slot loads, opposite-slot stores, all local to the block).
+inline void stream_collide_block_aa_even(const KernelArgs& a, std::int64_t b,
+                                         std::int64_t extent) {
+  const std::int64_t i0 = b * kBlock;
+  if (!detail::bulk_block(a, i0, extent)) {
+    detail::block_by_points(stream_collide_point_aa_even, a, i0, extent);
+    return;
+  }
+  const auto n = static_cast<std::size_t>(a.n);
+  const auto i = static_cast<std::size_t>(i0);
+  double f[kQ * kBlock];
+  for (int q = 0; q < kQ; ++q)
+    for (int l = 0; l < kBlock; ++l)
+      f[q * kBlock + l] = a.f[static_cast<std::size_t>(q) * n + i + l];
+  double out[kQ * kBlock];
+  detail::collide_block(a, f, out);
+  for (int q = 0; q < kQ; ++q)
+    for (int l = 0; l < kBlock; ++l)
+      a.f[static_cast<std::size_t>(opposite(q)) * n + i + l] =
+          out[q * kBlock + l];
+}
+
+/// AA odd step for block b: the block form of stream_collide_point_aa_odd.
+/// All kBlock gathers precede all kBlock scatters; that reordering is
+/// exact because the slots one point reads and writes are touched by no
+/// other point of the step.
+inline void stream_collide_block_aa_odd(const KernelArgs& a, std::int64_t b,
+                                        std::int64_t extent) {
+  const std::int64_t i0 = b * kBlock;
+  if (!detail::bulk_block(a, i0, extent)) {
+    detail::block_by_points(stream_collide_point_aa_odd, a, i0, extent);
+    return;
+  }
+  const auto n = static_cast<std::size_t>(a.n);
+  const auto i = static_cast<std::size_t>(i0);
+  PointIndex up[kQ * kBlock];
+  double f[kQ * kBlock];
+  for (int q = 0; q < kQ; ++q) {
+    const PointIndex* adj = a.adjacency + static_cast<std::size_t>(q) * n + i;
+    const double* in = a.f + static_cast<std::size_t>(opposite(q)) * n;
+    const double* wall = a.f + static_cast<std::size_t>(q) * n + i;
+    for (int l = 0; l < kBlock; ++l) {
+      up[q * kBlock + l] = adj[l];
+      f[q * kBlock + l] = adj[l] != kSolidNeighbor
+                              ? in[static_cast<std::size_t>(adj[l])]
+                              : wall[l];
+    }
+  }
+  double out[kQ * kBlock];
+  detail::collide_block(a, f, out);
+  for (int q = 0; q < kQ; ++q) {
+    double* downstream = a.f + static_cast<std::size_t>(q) * n;
+    double* wall = a.f + static_cast<std::size_t>(opposite(q)) * n + i;
+    for (int l = 0; l < kBlock; ++l) {
+      const PointIndex down = up[opposite(q) * kBlock + l];
+      if (down != kSolidNeighbor) {
+        downstream[static_cast<std::size_t>(down)] = out[q * kBlock + l];
+      } else {
+        wall[l] = out[q * kBlock + l];
+      }
     }
   }
 }

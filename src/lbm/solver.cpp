@@ -75,17 +75,21 @@ void Solver::step() {
   if (options_.propagation == Propagation::kAAInPlace) {
     KernelArgs a = args(buf_b_, buf_a_);
     a.f = buf_a_.data();
+    const std::int64_t blocks = block_count(a.n);
     if (steps_done_ % 2 == 0) {
-      for (std::int64_t i = 0; i < a.n; ++i) stream_collide_point_aa_even(a, i);
+      for (std::int64_t b = 0; b < blocks; ++b)
+        stream_collide_block_aa_even(a, b, a.n);
     } else {
-      for (std::int64_t i = 0; i < a.n; ++i) stream_collide_point_aa_odd(a, i);
+      for (std::int64_t b = 0; b < blocks; ++b)
+        stream_collide_block_aa_odd(a, b, a.n);
     }
     ++steps_done_;
     aa_canonical_fresh_ = false;
     return;
   }
   const KernelArgs a = args(*current_, *next_);
-  for (std::int64_t i = 0; i < a.n; ++i) stream_collide_point(a, i);
+  for (std::int64_t b = 0; b < block_count(a.n); ++b)
+    stream_collide_block(a, b, a.n);
   std::swap(current_, next_);
   ++steps_done_;
 }

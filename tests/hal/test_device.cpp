@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <vector>
 
+#include "geom/cylinder.hpp"
 #include "hal/device.hpp"
+#include "harvey/device_solver.hpp"
+#include "lbm/kernels.hpp"
 
 using hemo::hal::DeviceEngine;
 
@@ -71,6 +75,75 @@ TEST(DeviceEngine, ThreadedChunkingVisitsEveryIndexOnce) {
     hits[static_cast<std::size_t>(i)].fetch_add(1);
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(DeviceEngine, ParallelForAcceptsMoveOnlyFunctors) {
+  // The functor is a template parameter, not a std::function, so it need
+  // not be copyable; it is shared by reference across worker chunks.
+  for (const int threads : {1, 3}) {
+    DeviceEngine eng;
+    eng.set_threads(threads);
+    std::atomic<std::int64_t> sum{0};
+    auto base = std::make_unique<std::int64_t>(100);
+    eng.parallel_for(10, [base = std::move(base), &sum](std::int64_t i) {
+      sum.fetch_add(*base + i);
+    });
+    EXPECT_EQ(sum.load(), 10 * 100 + 45) << "threads " << threads;
+  }
+}
+
+TEST(DeviceEngine, EveryIndexOnceForRaggedChunks) {
+  // Ranges not divisible by the thread count, including ranges too short
+  // to split (n < 2 * threads runs inline).
+  for (const int threads : {1, 2, 3, 7}) {
+    for (const std::int64_t n : {1, 13, 29, 1001}) {
+      DeviceEngine eng;
+      eng.set_threads(threads);
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      eng.parallel_for(n, [&](std::int64_t i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+      for (std::int64_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+            << "threads " << threads << " n " << n << " index " << i;
+      EXPECT_EQ(eng.counters().kernel_launches, 1);
+      EXPECT_EQ(eng.counters().kernel_indices, n);
+    }
+  }
+}
+
+TEST(DeviceEngine, CoarsenedSolverStepCountsBlocksNotPoints) {
+  // One stream-collide launch per step, one work item per block of
+  // lbm::kBlock points; the CUDA-shaped dialects round the grid up to
+  // whole 256-thread blocks.
+  hemo::geom::CylinderSpec spec;
+  spec.scale = 1.0;
+  spec.radius_per_scale = 4.0;
+  spec.axial_per_scale = 11.0;
+  const auto lattice = hemo::geom::make_cylinder_lattice(
+      spec, hemo::geom::CylinderEnds::kPeriodic);
+  const std::int64_t blocks = hemo::lbm::block_count(lattice->size());
+  ASSERT_EQ(blocks, (lattice->size() + 3) / 4);
+  auto& eng = DeviceEngine::instance();
+  for (const auto pattern : {hemo::lbm::Propagation::kPullSoA,
+                             hemo::lbm::Propagation::kAAInPlace}) {
+    hemo::lbm::SolverOptions o;
+    o.propagation = pattern;
+    for (const auto model : {hemo::hal::Model::kCuda, hemo::hal::Model::kSycl,
+                             hemo::hal::Model::kKokkosCuda}) {
+      hemo::harvey::DeviceSolver solver(lattice, o, model);
+      const hemo::hal::EngineCounters before = eng.counters();
+      solver.run(2);  // one even and one odd AA step
+      const hemo::hal::EngineCounters& after = eng.counters();
+      const std::int64_t per_step =
+          model == hemo::hal::Model::kCuda ? (blocks + 255) / 256 * 256
+                                           : blocks;
+      EXPECT_EQ(after.kernel_launches - before.kernel_launches, 2)
+          << hemo::hal::name_of(model);
+      EXPECT_EQ(after.kernel_indices - before.kernel_indices, 2 * per_step)
+          << hemo::hal::name_of(model);
+    }
+  }
 }
 
 TEST(DeviceEngine, EmptyRangeLaunchesButExecutesNothing) {

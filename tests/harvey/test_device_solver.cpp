@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "geom/aorta.hpp"
@@ -82,6 +83,34 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       return n;
     });
+
+TEST_P(DeviceSolverModels, MomentsMatchHostAndCopyOnlyThePoint) {
+  // moments(i) reads point i's 19 canonical values from their live slots
+  // (AA parity included) instead of copying the whole array per call.
+  auto lattice = workload();
+  auto& eng = hal::DeviceEngine::instance();
+  for (const auto pattern :
+       {lbm::Propagation::kPullSoA, lbm::Propagation::kAAInPlace}) {
+    lbm::SolverOptions o = options();
+    o.propagation = pattern;
+    lbm::Solver reference(lattice, o);
+    DeviceSolver device(lattice, o, GetParam());
+    for (int step = 0; step < 3; ++step) {  // both AA parities
+      for (hemo::PointIndex i = 0; i < lattice->size(); ++i) {
+        const std::int64_t before = eng.counters().bytes_d2h;
+        const lbm::Moments got = device.moments(i);
+        ASSERT_EQ(eng.counters().bytes_d2h - before,
+                  static_cast<std::int64_t>(lbm::kQ * sizeof(double)));
+        const lbm::Moments want = reference.moments(i);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << lbm::propagation_name(pattern) << " point " << i
+            << " after " << step << " steps";
+      }
+      reference.step();
+      device.step();
+    }
+  }
+}
 
 TEST(DeviceSolverCrossDialect, AllSevenModelsAgreeBitwise) {
   auto lattice = workload();
