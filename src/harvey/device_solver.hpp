@@ -1,15 +1,17 @@
 #pragma once
 // DeviceSolver: the production-code path.  Runs the fused stream-collide
 // kernel on "device" memory through one of the programming-model dialects
-// (mini-CUDA, mini-HIP, mini-SYCL, or mini-Kokkos with any backend),
-// mirroring how HARVEY's CUDA kernels were ported to each model in the
-// paper.  All dialects produce bit-identical physics; they differ in API
-// mechanics and, on real hardware, in performance (modeled by hemo::sim).
+// (mini-CUDA, mini-HIP, mini-SYCL, or mini-Kokkos with any backend), each
+// reached through hal::launch and hal::DeviceArray, so the kernel source
+// is shared.  All dialects produce bit-identical physics; they differ in
+// API mechanics and, on real hardware, in performance (modeled by
+// hemo::sim).
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "hal/launch.hpp"
 #include "hal/model.hpp"
 #include "lbm/kernels.hpp"
 #include "lbm/solver.hpp"
@@ -21,7 +23,6 @@ class DeviceSolver {
  public:
   DeviceSolver(std::shared_ptr<const lbm::SparseLattice> lattice,
                lbm::SolverOptions options, hal::Model model);
-  ~DeviceSolver();
 
   DeviceSolver(const DeviceSolver&) = delete;
   DeviceSolver& operator=(const DeviceSolver&) = delete;
@@ -53,19 +54,21 @@ class DeviceSolver {
   std::vector<lbm::TileDigest> tile_digests(std::int64_t tile_points) const;
 
   lbm::Moments moments(PointIndex i) const;
+  /// Compensated (Neumaier) sum of distributions().
   double total_mass() const;
-
-  /// Dialect-specific backend state; public only so the per-dialect
-  /// implementations in the .cpp can derive from it.
-  struct Impl;
 
  private:
   std::shared_ptr<const lbm::SparseLattice> lattice_;
   lbm::SolverOptions options_;
   hal::Model model_;
-  std::unique_ptr<Impl> impl_;
+  hal::ModelRuntime runtime_;  // declared before the arrays: outlives them
+  // f_a_ is the live array: the pull path's post-collision SoA, or the AA
+  // in-place array.  f_b_ is the pull path's second buffer (empty for AA).
+  hal::DeviceArray<double> f_a_;
+  hal::DeviceArray<double> f_b_;
+  hal::DeviceArray<PointIndex> adjacency_;
+  hal::DeviceArray<std::uint8_t> node_type_;
   std::int64_t steps_done_ = 0;
-  bool owns_kokkos_runtime_ = false;
 };
 
 }  // namespace hemo::harvey

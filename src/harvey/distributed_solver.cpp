@@ -6,16 +6,14 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 
 #include "analysis/lattice_check.hpp"
 #include "base/contracts.hpp"
 #include "base/rng.hpp"
-#include "hal/cudax.hpp"
-#include "hal/hipx.hpp"
-#include "hal/kokkosx.hpp"
-#include "hal/syclx.hpp"
 #include "io/blob.hpp"
 
 namespace hemo::harvey {
@@ -53,10 +51,6 @@ bool frame_ok(const std::vector<double>& payload) {
 
 }  // namespace
 
-DistributedSolver::~DistributedSolver() {
-  if (owns_kokkos_runtime_) hal::kokkosx::finalize();
-}
-
 DistributedSolver::DistributedSolver(
     std::shared_ptr<const lbm::SparseLattice> global,
     decomp::Partition partition, lbm::SolverOptions options)
@@ -68,6 +62,11 @@ DistributedSolver::DistributedSolver(
   HEMO_EXPECTS(partition_.owner.size() ==
                static_cast<std::size_t>(global_->size()));
   HEMO_EXPECTS(options_.tau > 0.5);
+  if (options_.propagation != lbm::Propagation::kPullSoA)
+    throw std::invalid_argument(
+        std::string("DistributedSolver: propagation pattern '") +
+        lbm::propagation_name(options_.propagation) +
+        "' is not supported; ranks step pull-SoA only");
 
   alive_.assign(static_cast<std::size_t>(partition_.n_ranks), 1);
   build_decomposition();
@@ -233,16 +232,7 @@ void DistributedSolver::exchange_halos() {
 }
 
 void DistributedSolver::set_execution_model(hal::Model model) {
-  namespace kx = hal::kokkosx;
-  if (hal::is_kokkos(model)) {
-    const hal::Backend backend = hal::backend_of(model);
-    if (!kx::is_initialized()) {
-      kx::initialize(backend);
-      owns_kokkos_runtime_ = true;
-    } else {
-      HEMO_EXPECTS(kx::current_backend() == backend);
-    }
-  }
+  runtime_.emplace(model);
   model_ = model;
 }
 
@@ -253,60 +243,13 @@ void DistributedSolver::execute_rank_kernel(RankState& rs) {
   // points and ghosts, so the block kernels are bounded by `owned`.
   const std::int64_t owned = rs.owned;
   const std::int64_t blocks = lbm::block_count(owned);
-  auto body = [a, owned, blocks](std::int64_t b) {
-    if (b >= blocks) return;  // dialect grids round up to block multiples
+  auto body = [a, owned](std::int64_t b) {
     lbm::stream_collide_block(a, b, owned);
   };
-
-  if (!model_.has_value()) {
+  if (model_.has_value()) {
+    hal::launch(*model_, blocks, body);
+  } else {
     for (std::int64_t b = 0; b < blocks; ++b) body(b);
-    return;
-  }
-  switch (hal::backend_of(*model_)) {
-    case hal::Backend::kCuda:
-    case hal::Backend::kOpenAcc: {
-      if (hal::is_kokkos(*model_)) {
-        hal::kokkosx::parallel_for("stream_collide",
-                                   hal::kokkosx::RangePolicy(0, blocks),
-                                   body);
-      } else {
-        const unsigned block = 256;
-        const auto grid = static_cast<unsigned>(
-            (blocks + block - 1) / static_cast<std::int64_t>(block));
-        HEMO_ENSURES(cudaxLaunchKernel(dim3x(grid), dim3x(block), body) ==
-                     cudaxSuccess);
-      }
-      break;
-    }
-    case hal::Backend::kHip: {
-      if (hal::is_kokkos(*model_)) {
-        hal::kokkosx::parallel_for("stream_collide",
-                                   hal::kokkosx::RangePolicy(0, blocks),
-                                   body);
-      } else {
-        const unsigned block = 256;
-        const auto grid = static_cast<unsigned>(
-            (blocks + block - 1) / static_cast<std::int64_t>(block));
-        HEMO_ENSURES(hipxLaunchKernel(dim3x(grid), dim3x(block), body) ==
-                     hipxSuccess);
-      }
-      break;
-    }
-    case hal::Backend::kSycl: {
-      if (hal::is_kokkos(*model_)) {
-        hal::kokkosx::parallel_for("stream_collide",
-                                   hal::kokkosx::RangePolicy(0, blocks),
-                                   body);
-      } else {
-        hal::syclx::queue queue;
-        queue.parallel_for(
-            hal::syclx::range<1>(static_cast<std::size_t>(blocks)),
-            [body](hal::syclx::id<1> i) {
-              body(static_cast<std::int64_t>(i));
-            });
-      }
-      break;
-    }
   }
 }
 

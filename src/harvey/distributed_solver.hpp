@@ -39,6 +39,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "comm/network.hpp"
+#include "hal/launch.hpp"
 #include "hal/model.hpp"
 #include "decomp/partition.hpp"
 #include "lbm/kernels.hpp"
@@ -52,9 +53,10 @@ namespace hemo::harvey {
 
 class DistributedSolver {
  public:
+  /// Ranks step the pull-SoA pattern only: options.propagation naming any
+  /// other pattern throws std::invalid_argument rather than running pull.
   DistributedSolver(std::shared_ptr<const lbm::SparseLattice> global,
                     decomp::Partition partition, lbm::SolverOptions options);
-  ~DistributedSolver();
 
   void step();
 
@@ -258,7 +260,7 @@ class DistributedSolver {
   std::vector<Exchange> exchanges_;  // sorted by (src, dst)
   std::int64_t steps_done_ = 0;
   std::optional<hal::Model> model_;
-  bool owns_kokkos_runtime_ = false;
+  std::optional<hal::ModelRuntime> runtime_;
 
   std::optional<resilience::Options> resilience_;
   resilience::RunStats stats_;

@@ -2,6 +2,18 @@
 
 namespace hemo::lbm {
 
+double neumaier_sum(std::span<const double> values) {
+  double sum = 0.0;
+  double compensation = 0.0;
+  for (const double v : values) {
+    const double t = sum + v;
+    compensation +=
+        std::abs(sum) >= std::abs(v) ? (sum - t) + v : (v - t) + sum;
+    sum = t;
+  }
+  return sum + compensation;
+}
+
 double slice_mass_flux(const Solver& solver, std::int32_t z) {
   double flux = 0.0;
   bool found = false;

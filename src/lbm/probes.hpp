@@ -5,11 +5,18 @@
 // simulations to physiological conditions.
 
 #include <cmath>
+#include <span>
 
 #include "base/contracts.hpp"
 #include "lbm/solver.hpp"
 
 namespace hemo::lbm {
+
+/// Compensated (Neumaier) sum: carries the rounding error of every
+/// addition in a second accumulator, so a sum of millions of
+/// distribution values stays within an ulp or two of the exact total
+/// instead of drifting with the order of summation.
+double neumaier_sum(std::span<const double> values);
 
 /// Mass flux (sum of rho*u_z) through the axial slice z.
 double slice_mass_flux(const Solver& solver, std::int32_t z);

@@ -9,6 +9,7 @@
 #include "base/contracts.hpp"
 #include "lbm/aa_layout.hpp"
 #include "lbm/hemodynamics.hpp"
+#include "lbm/probes.hpp"
 
 namespace hemo::lbm {
 
@@ -138,11 +139,7 @@ Moments Solver::moments(PointIndex i) const {
                     options_.body_force.z);
 }
 
-double Solver::total_mass() const {
-  double mass = 0.0;
-  for (double v : distributions()) mass += v;
-  return mass;
-}
+double Solver::total_mass() const { return neumaier_sum(distributions()); }
 
 void Solver::set_inlet_velocity(double velocity) {
   HEMO_EXPECTS(std::abs(velocity) < 1.0);

@@ -93,6 +93,7 @@ class Solver {
   void corrupt_live_bit(PointIndex i, int q, int bit);
 
   Moments moments(PointIndex i) const;
+  /// Compensated (Neumaier) sum of distributions().
   double total_mass() const;
 
   /// Maximum |u| over all points; used for stability checks.

@@ -8,6 +8,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "base/contracts.hpp"
+#include "base/json.hpp"
 #include "base/table.hpp"
 #include "decomp/partition.hpp"
 #include "harvey/distributed_solver.hpp"
@@ -39,28 +40,6 @@ std::string join_ranks(const std::vector<Rank>& ranks) {
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     if (i) out += ';';
     out += std::to_string(ranks[i]);
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "base/contracts.hpp"
+#include "base/json.hpp"
 #include "serve/protocol.hpp"
 
 namespace hemo::serve {

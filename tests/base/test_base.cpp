@@ -1,11 +1,12 @@
 // Base utility tests: geometry primitives, the deterministic RNG, the
-// table formatter, and the contract macros.
+// table formatter, JSON string escaping, and the contract macros.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "base/contracts.hpp"
+#include "base/json.hpp"
 #include "base/rng.hpp"
 #include "base/table.hpp"
 #include "base/types.hpp"
@@ -113,4 +114,20 @@ TEST(Table, RowArityIsEnforced) {
 TEST(Contracts, ExpectsAbortsWithDiagnostic) {
   EXPECT_DEATH(HEMO_EXPECTS(1 == 2), "Precondition violation");
   EXPECT_DEATH(HEMO_ENSURES(false), "Postcondition violation");
+}
+
+TEST(Json, EscapeCoversQuotesBackslashesAndEveryControlByte) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json_escape("a\tb"), "a\\tb");
+  EXPECT_EQ(json_escape("a\rb"), "a\\rb");
+  EXPECT_EQ(json_escape("a\x01" "b"), "a\\u0001b");
+  EXPECT_EQ(json_escape(std::string_view("a\0b", 3)), "a\\u0000b");
+  EXPECT_EQ(json_escape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 passes
+  // JSON forbids raw bytes below 0x20 inside a string.
+  for (int c = 0; c < 0x20; ++c)
+    for (const char out : json_escape(std::string(1, static_cast<char>(c))))
+      EXPECT_GE(static_cast<unsigned char>(out), 0x20) << "byte " << c;
 }

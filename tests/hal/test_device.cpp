@@ -129,15 +129,15 @@ TEST(DeviceEngine, CoarsenedSolverStepCountsBlocksNotPoints) {
                              hemo::lbm::Propagation::kAAInPlace}) {
     hemo::lbm::SolverOptions o;
     o.propagation = pattern;
-    for (const auto model : {hemo::hal::Model::kCuda, hemo::hal::Model::kSycl,
-                             hemo::hal::Model::kKokkosCuda}) {
+    for (const auto model : hemo::hal::kAllModels) {
       hemo::harvey::DeviceSolver solver(lattice, o, model);
       const hemo::hal::EngineCounters before = eng.counters();
       solver.run(2);  // one even and one odd AA step
       const hemo::hal::EngineCounters& after = eng.counters();
+      const bool cuda_shaped = model == hemo::hal::Model::kCuda ||
+                               model == hemo::hal::Model::kHip;
       const std::int64_t per_step =
-          model == hemo::hal::Model::kCuda ? (blocks + 255) / 256 * 256
-                                           : blocks;
+          cuda_shaped ? (blocks + 255) / 256 * 256 : blocks;
       EXPECT_EQ(after.kernel_launches - before.kernel_launches, 2)
           << hemo::hal::name_of(model);
       EXPECT_EQ(after.kernel_indices - before.kernel_indices, 2 * per_step)

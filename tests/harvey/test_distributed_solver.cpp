@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "decomp/partition.hpp"
 #include "geom/aorta.hpp"
@@ -134,6 +136,22 @@ TEST(DistributedSolver, AortaWithBisectionMatchesReference) {
     ASSERT_EQ(ref[k], dist[k]) << "aorta diverged at index " << k;
 }
 
+TEST(DistributedSolver, RejectsAPropagationPatternItCannotStep) {
+  // Ranks step pull-SoA only; an AA request must fail loudly instead of
+  // silently running pull.
+  auto lattice = cylinder_workload();
+  lbm::SolverOptions o = flow_options();
+  o.propagation = lbm::Propagation::kAAInPlace;
+  try {
+    DistributedSolver solver(lattice, decomp::slab_partition(*lattice, 2), o);
+    FAIL() << "an AA DistributedSolver was constructed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(lbm::propagation_name(o.propagation)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DistributedSolver, SingleRankSendsNothing) {
   auto lattice = cylinder_workload();
   DistributedSolver distributed(
@@ -194,9 +212,7 @@ TEST_P(DistributedDialects, DialectExecutionMatchesHostLoopBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Models, DistributedDialects,
-    ::testing::Values(hemo::hal::Model::kCuda, hemo::hal::Model::kHip,
-                      hemo::hal::Model::kSycl,
-                      hemo::hal::Model::kKokkosHip),
+    ::testing::ValuesIn(hemo::hal::kAllModels),
     [](const ::testing::TestParamInfo<hemo::hal::Model>& info) {
       std::string n{hemo::hal::name_of(info.param)};
       for (char& c : n)

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "geom/cylinder.hpp"
 #include "lbm/probes.hpp"
@@ -29,7 +33,48 @@ lbm::SolverOptions driven_options() {
   return o;
 }
 
+/// Reference sum: Shewchuk's exact non-overlapping partials (the
+/// algorithm behind Python's math.fsum), rounded once at the end.
+double exact_sum(const std::vector<double>& values) {
+  std::vector<double> partials;
+  for (double x : values) {
+    std::size_t kept = 0;
+    for (double y : partials) {
+      if (std::abs(x) < std::abs(y)) std::swap(x, y);
+      const double hi = x + y;
+      const double lo = y - (hi - x);
+      if (lo != 0.0) partials[kept++] = lo;
+      x = hi;
+    }
+    partials.resize(kept);
+    partials.push_back(x);
+  }
+  double sum = 0.0;
+  for (auto it = partials.rbegin(); it != partials.rend(); ++it) sum += *it;
+  return sum;
+}
+
 }  // namespace
+
+TEST(Probes, NeumaierSumKeepsTermsAPlainSumLoses) {
+  EXPECT_EQ(lbm::neumaier_sum(std::vector<double>{1.0, 1e100, 1.0, -1e100}),
+            2.0);
+  EXPECT_EQ(lbm::neumaier_sum(std::vector<double>{}), 0.0);
+}
+
+TEST(Probes, TotalMassIsTheCompensatedSumOfDistributions) {
+  lbm::SolverOptions o = driven_options();
+  o.body_force = {0.0, 0.0, 1e-6};
+  for (const auto pattern :
+       {lbm::Propagation::kPullSoA, lbm::Propagation::kAAInPlace}) {
+    o.propagation = pattern;
+    lbm::Solver solver(channel(), o);
+    solver.run(25);
+    const double exact = exact_sum(solver.distributions());
+    EXPECT_LE(std::abs(solver.total_mass() - exact), DBL_EPSILON * exact)
+        << lbm::propagation_name(pattern);
+  }
+}
 
 TEST(Probes, MassFluxIsConservedAlongTheChannelAtSteadyState) {
   lbm::Solver solver(channel(), driven_options());

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "base/json.hpp"
+
 namespace hemo::serve {
 namespace {
 
