@@ -15,25 +15,12 @@
 #include "base/contracts.hpp"
 #include "base/rng.hpp"
 #include "io/blob.hpp"
+#include "lbm/checkpoint.hpp"
+#include "lbm/step.hpp"
 
 namespace hemo::harvey {
 
 namespace {
-
-// Checkpoint blob format: "HEMODCKP" v1.  Record 0 is the metadata, then
-// one record per rank carrying its full distribution array (owned + ghost
-// slots), so a restore reproduces the stepping bit-for-bit.
-constexpr std::uint64_t kCkptMagic = 0x48454D4F44434B50ull;  // "HEMODCKP"
-constexpr std::uint32_t kCkptVersion = 1;
-constexpr std::uint32_t kMetaTag = 0;
-constexpr std::uint32_t kRankTagBase = 1;
-
-struct CkptMeta {
-  std::int64_t step = 0;
-  std::int64_t global_size = 0;
-  std::int32_t n_ranks = 0;
-  std::int32_t q = 0;
-};
 
 /// Validates the CRC frame word a resilient sender appended to a halo
 /// payload.  The frame is a crc32 of the data bytes stored as a double
@@ -61,7 +48,7 @@ DistributedSolver::DistributedSolver(
   HEMO_EXPECTS(global_ != nullptr);
   HEMO_EXPECTS(partition_.owner.size() ==
                static_cast<std::size_t>(global_->size()));
-  HEMO_EXPECTS(options_.tau > 0.5);
+  lbm::expect_valid(options_);
   if (options_.propagation != lbm::Propagation::kPullSoA)
     throw std::invalid_argument(
         std::string("DistributedSolver: propagation pattern '") +
@@ -118,9 +105,7 @@ void DistributedSolver::build_decomposition() {
 
     // Local adjacency and node types; ghost rows are never executed, so
     // their adjacency stays kSolidNeighbor and their type kBulk.
-    rs.adjacency.assign(static_cast<std::size_t>(lbm::kQ) *
-                            static_cast<std::size_t>(rs.local),
-                        kSolidNeighbor);
+    rs.adjacency.assign(values(rs), kSolidNeighbor);
     rs.node_type.assign(static_cast<std::size_t>(rs.local),
                         static_cast<std::uint8_t>(lbm::NodeType::kBulk));
     for (std::int64_t li = 0; li < rs.owned; ++li) {
@@ -130,30 +115,25 @@ void DistributedSolver::build_decomposition() {
       for (int q = 0; q < lbm::kQ; ++q) {
         const PointIndex up = global_->neighbor(q, gi);
         if (up == kSolidNeighbor) continue;
-        rs.adjacency[static_cast<std::size_t>(q) *
-                         static_cast<std::size_t>(rs.local) +
-                     static_cast<std::size_t>(li)] = map.at(up);
+        rs.adjacency[slot(rs, q, li)] = map.at(up);
       }
     }
 
     // Distributions: everything (ghosts included) starts at equilibrium;
     // the first exchange overwrites ghosts with the owners' identical
     // values, so initialization matches the single-domain solver exactly.
-    rs.f_a.resize(static_cast<std::size_t>(lbm::kQ) *
-                  static_cast<std::size_t>(rs.local));
+    rs.f_a.resize(values(rs));
     rs.f_b.resize(rs.f_a.size());
-    const Vec3& u0 = options_.initial_velocity;
-    for (int q = 0; q < lbm::kQ; ++q) {
-      const double feq =
-          lbm::equilibrium(q, options_.initial_density, u0.x, u0.y, u0.z);
-      std::fill_n(rs.f_a.begin() + static_cast<std::ptrdiff_t>(q) * rs.local,
-                  rs.local, feq);
-    }
+    lbm::fill_initial_state(options_, rs.adjacency.data(), rs.local,
+                            rs.f_a.data());
     rs.current = rs.f_a.data();
     rs.next = rs.f_b.data();
   }
 
   // Exchange lists, built centrally in deterministic (dst, local, q) order.
+  // A separate pass on purpose: growing these vectors in the loop above,
+  // between the ranks' state allocations, leaves heap holes that cost
+  // ~12 MB of peak RSS on an 8-rank 0.55 mm aorta.
   std::map<std::pair<Rank, Rank>, Exchange> pairs;
   for (Rank d = 0; d < R; ++d) {
     const RankState& rs = ranks_[static_cast<std::size_t>(d)];
@@ -177,19 +157,11 @@ void DistributedSolver::build_decomposition() {
   for (auto& [key, e] : pairs) exchanges_.push_back(std::move(e));
 }
 
-lbm::KernelArgs DistributedSolver::rank_args(RankState& rs) const {
-  lbm::KernelArgs a;
+lbm::KernelArgs DistributedSolver::rank_args(const RankState& rs) const {
+  lbm::KernelArgs a = lbm::kernel_args(options_, rs.adjacency.data(),
+                                       rs.node_type.data(), rs.local);
   a.f_in = rs.current;
   a.f_out = rs.next;
-  a.adjacency = rs.adjacency.data();
-  a.node_type = rs.node_type.data();
-  a.n = rs.local;  // SoA stride spans owned + ghost slots
-  a.omega = 1.0 / options_.tau;
-  a.force_x = options_.body_force.x;
-  a.force_y = options_.body_force.y;
-  a.force_z = options_.body_force.z;
-  a.inlet_velocity = options_.inlet_velocity;
-  a.outlet_density = options_.outlet_density;
   return a;
 }
 
@@ -210,25 +182,31 @@ std::vector<std::pair<Rank, Rank>> DistributedSolver::exchange_pairs() const {
 void DistributedSolver::exchange_halos() {
   // Post every send, then drain every receive: the classic halo-exchange
   // schedule (non-blocking sends + receives in MPI terms).
-  for (const Exchange& e : exchanges_) {
-    const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
-    std::vector<double> payload(e.q.size());
-    for (std::size_t k = 0; k < e.q.size(); ++k)
-      payload[k] = src.current[static_cast<std::size_t>(e.q[k]) *
-                                   static_cast<std::size_t>(src.local) +
-                               static_cast<std::size_t>(e.src_local[k])];
-    network_->send(e.src, e.dst, std::move(payload));
-  }
-  for (const Exchange& e : exchanges_) {
-    RankState& dst = ranks_[static_cast<std::size_t>(e.dst)];
-    const std::vector<double> payload =
-        network_->receive(e.dst, e.src, e.q.size());
-    for (std::size_t k = 0; k < e.q.size(); ++k)
-      dst.current[static_cast<std::size_t>(e.q[k]) *
-                      static_cast<std::size_t>(dst.local) +
-                  static_cast<std::size_t>(e.dst_local[k])] = payload[k];
-  }
+  post_all_halos(/*frame=*/false);
+  for (const Exchange& e : exchanges_)
+    unpack(e, network_->receive(e.dst, e.src, e.q.size()));
   HEMO_ASSERT(network_->drained());
+}
+
+std::vector<double> DistributedSolver::pack(const Exchange& e,
+                                            bool frame) const {
+  const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
+  std::vector<double> payload(e.q.size());
+  for (std::size_t k = 0; k < e.q.size(); ++k)
+    payload[k] = src.current[slot(src, e.q[k], e.src_local[k])];
+  if (frame) {
+    const std::uint32_t crc =
+        io::crc32(payload.data(), payload.size() * sizeof(double));
+    payload.push_back(static_cast<double>(crc));
+  }
+  return payload;
+}
+
+void DistributedSolver::unpack(const Exchange& e,
+                               const std::vector<double>& payload) {
+  RankState& dst = ranks_[static_cast<std::size_t>(e.dst)];
+  for (std::size_t k = 0; k < e.q.size(); ++k)
+    dst.current[slot(dst, e.q[k], e.dst_local[k])] = payload[k];
 }
 
 void DistributedSolver::set_execution_model(hal::Model model) {
@@ -238,19 +216,14 @@ void DistributedSolver::set_execution_model(hal::Model model) {
 
 void DistributedSolver::execute_rank_kernel(RankState& rs) {
   if (rs.owned == 0) return;  // dead rank post-shrink: nothing to launch
-  const lbm::KernelArgs a = rank_args(rs);
-  // One work item per block of owned points; a.n is the stride over owned
-  // points and ghosts, so the block kernels are bounded by `owned`.
-  const std::int64_t owned = rs.owned;
-  const std::int64_t blocks = lbm::block_count(owned);
-  auto body = [a, owned](std::int64_t b) {
-    lbm::stream_collide_block(a, b, owned);
-  };
-  if (model_.has_value()) {
-    hal::launch(*model_, blocks, body);
-  } else {
-    for (std::int64_t b = 0; b < blocks; ++b) body(b);
-  }
+  // The extent is the owned points; the SoA stride also spans the ghosts.
+  lbm::step_blocks(options_.propagation, steps_done_, rank_args(rs), rs.owned,
+                   [this](std::int64_t items, const auto& body) {
+                     if (model_.has_value())
+                       hal::launch(*model_, items, body);
+                     else
+                       lbm::host_loop(items, body);
+                   });
 }
 
 void DistributedSolver::advance_state() {
@@ -317,24 +290,9 @@ void DistributedSolver::record(const char* rule, analysis::Severity severity,
       analysis::Diagnostic{rule, severity, where, 0, message, ""});
 }
 
-std::vector<double> DistributedSolver::pack_payload(const Exchange& e) const {
-  const RankState& src = ranks_[static_cast<std::size_t>(e.src)];
-  std::vector<double> payload(e.q.size());
-  for (std::size_t k = 0; k < e.q.size(); ++k)
-    payload[k] = src.current[static_cast<std::size_t>(e.q[k]) *
-                                 static_cast<std::size_t>(src.local) +
-                             static_cast<std::size_t>(e.src_local[k])];
-  if (resilience_->recovery.checksum_frames) {
-    const std::uint32_t crc =
-        io::crc32(payload.data(), payload.size() * sizeof(double));
-    payload.push_back(static_cast<double>(crc));
-  }
-  return payload;
-}
-
-void DistributedSolver::post_all_halos() {
+void DistributedSolver::post_all_halos(bool frame) {
   for (const Exchange& e : exchanges_)
-    network_->send(e.src, e.dst, pack_payload(e));
+    network_->send(e.src, e.dst, pack(e, frame));
 }
 
 bool DistributedSolver::receive_exchange(const Exchange& e,
@@ -360,11 +318,7 @@ bool DistributedSolver::receive_exchange(const Exchange& e,
     }
     if (have_payload) {
       if (!frames || frame_ok(payload)) {
-        RankState& dst = ranks_[static_cast<std::size_t>(e.dst)];
-        for (std::size_t k = 0; k < e.q.size(); ++k)
-          dst.current[static_cast<std::size_t>(e.q[k]) *
-                          static_cast<std::size_t>(dst.local) +
-                      static_cast<std::size_t>(e.dst_local[k])] = payload[k];
+        unpack(e, payload);
         return true;
       }
       ++stats_.crc_mismatch;  // corrupted in flight; retransmit replaces it
@@ -375,7 +329,7 @@ bool DistributedSolver::receive_exchange(const Exchange& e,
     ++stats_.retransmits;
     // Repack from the sender's intact owned state: the fault hit the wire,
     // not the source data.
-    network_->send(e.src, e.dst, pack_payload(e));
+    network_->send(e.src, e.dst, pack(e, frames));
   }
 }
 
@@ -433,7 +387,7 @@ Rank DistributedSolver::diagnose_dead_rank(
 
 bool DistributedSolver::resilient_exchange(Rank* suspect) {
   if (suspect) *suspect = -1;
-  post_all_halos();
+  post_all_halos(resilience_->recovery.checksum_frames);
   const std::int64_t stray_before = stats_.stragglers_drained;
   // Attempt every exchange even after one fails: the failure *pattern*
   // across the whole plan is what distinguishes a dead rank (all of its
@@ -469,6 +423,11 @@ bool DistributedSolver::resilient_exchange(Rank* suspect) {
 }
 
 std::vector<analysis::Diagnostic> DistributedSolver::check_health() const {
+  return health_report(total_mass());
+}
+
+std::vector<analysis::Diagnostic> DistributedSolver::health_report(
+    double mass) const {
   const resilience::HealthPolicy health =
       resilience_.has_value() ? resilience_->health
                               : resilience::HealthPolicy{};
@@ -492,7 +451,6 @@ std::vector<analysis::Diagnostic> DistributedSolver::check_health() const {
   }
 
   if (health.check_mass) {
-    const double mass = total_mass();
     if (!std::isfinite(mass)) {
       // Covered point-wise by RS001; skip the drift arithmetic.
     } else if (health.closed_system) {
@@ -532,9 +490,7 @@ void DistributedSolver::take_snapshot() {
   snapshot_.state.resize(ranks_.size());
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     const RankState& rs = ranks_[r];
-    snapshot_.state[r].assign(
-        rs.current, rs.current + static_cast<std::size_t>(lbm::kQ) *
-                                     static_cast<std::size_t>(rs.local));
+    snapshot_.state[r].assign(rs.current, rs.current + values(rs));
   }
   ++stats_.snapshots;
 }
@@ -651,10 +607,10 @@ bool DistributedSolver::reexec_vote_sample() {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
     if (rs.owned == 0) continue;
     const std::int64_t tiles = sentinel_->tiles_of(rs.owned);
-    const std::size_t values = static_cast<std::size_t>(lbm::kQ) *
-                               static_cast<std::size_t>(rs.local);
-    if (reexec_scratch_a_.size() < values) reexec_scratch_a_.resize(values);
-    if (reexec_scratch_b_.size() < values) reexec_scratch_b_.resize(values);
+    if (reexec_scratch_a_.size() < values(rs))
+      reexec_scratch_a_.resize(values(rs));
+    if (reexec_scratch_b_.size() < values(rs))
+      reexec_scratch_b_.resize(values(rs));
 
     // advance_state already swapped, so rs.next is the step's input and
     // rs.current the output under vote.  Re-execute twice independently;
@@ -690,10 +646,8 @@ bool DistributedSolver::reexec_vote_sample() {
       bool votes_agree = true;
       bool matches_live = true;
       for (int q = 0; q < lbm::kQ && votes_agree; ++q) {
-        const std::size_t row = static_cast<std::size_t>(q) *
-                                static_cast<std::size_t>(rs.local);
         for (std::int64_t i = begin; i < end; ++i) {
-          const std::size_t at = row + static_cast<std::size_t>(i);
+          const std::size_t at = slot(rs, q, i);
           std::uint64_t va = 0, vb = 0, vl = 0;
           std::memcpy(&va, &reexec_scratch_a_[at], sizeof va);
           std::memcpy(&vb, &reexec_scratch_b_[at], sizeof vb);
@@ -728,20 +682,9 @@ void DistributedSolver::apply_due_bit_flips() {
     // lands on some survivor, so in practice it resolves).
     e->fired = true;
     if (e->flip_point < 0 || e->flip_point >= global_->size()) continue;
-    const auto gi = static_cast<PointIndex>(e->flip_point);
-    const Rank r = partition_.owner[static_cast<std::size_t>(gi)];
+    const auto [r, li] = locate(static_cast<PointIndex>(e->flip_point));
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const auto it = std::lower_bound(rs.owned_global.begin(),
-                                     rs.owned_global.end(), gi);
-    HEMO_ASSERT(it != rs.owned_global.end() && *it == gi);
-    const std::int64_t li = it - rs.owned_global.begin();
-    double& v = rs.current[static_cast<std::size_t>(e->flip_q) *
-                               static_cast<std::size_t>(rs.local) +
-                           static_cast<std::size_t>(li)];
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    bits ^= 1ull << e->flip_bit;
-    std::memcpy(&v, &bits, sizeof bits);
+    lbm::flip_bit(rs.current[slot(rs, e->flip_q, li)], e->flip_bit);
     e->fired_rank = r;
     const std::int64_t tp = resilience_->sentinel.tile_points;
     e->fired_tile = tp > 0 ? li / tp : -1;
@@ -753,44 +696,16 @@ bool DistributedSolver::can_shrink() const {
          survivor_count() - 1 >= resilience_->shrink.min_survivors;
 }
 
-std::vector<double> DistributedSolver::snapshot_global_state() const {
-  // Reassemble the snapshot into global q-major ordering using the
-  // *current* (pre-shrink) ownership.  The snapshot holds every rank's
-  // state from before the death, so the dead rank's points are recovered
-  // from it — this is the redistribution source for the shrink.
-  HEMO_EXPECTS(snapshot_.step >= 0);
+template <typename Fn>
+void DistributedSolver::for_each_owned_value(Fn fn) const {
   const auto n = static_cast<std::size_t>(global_->size());
-  std::vector<double> f(static_cast<std::size_t>(lbm::kQ) * n);
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     const RankState& rs = ranks_[r];
-    const std::vector<double>& state = snapshot_.state[r];
     for (std::int64_t li = 0; li < rs.owned; ++li) {
       const auto gi = static_cast<std::size_t>(
           rs.owned_global[static_cast<std::size_t>(li)]);
       for (int q = 0; q < lbm::kQ; ++q)
-        f[static_cast<std::size_t>(q) * n + gi] =
-            state[static_cast<std::size_t>(q) *
-                      static_cast<std::size_t>(rs.local) +
-                  static_cast<std::size_t>(li)];
-    }
-  }
-  return f;
-}
-
-void DistributedSolver::scatter_global_state(const std::vector<double>& f) {
-  // Owned slots only: every ghost (q, slot) the kernel will read is
-  // overwritten by the first halo exchange after resumption, so ghosts can
-  // stay at the equilibrium fill build_decomposition() gave them.
-  const auto n = static_cast<std::size_t>(global_->size());
-  for (RankState& rs : ranks_) {
-    for (std::int64_t li = 0; li < rs.owned; ++li) {
-      const auto gi = static_cast<std::size_t>(
-          rs.owned_global[static_cast<std::size_t>(li)]);
-      for (int q = 0; q < lbm::kQ; ++q)
-        rs.current[static_cast<std::size_t>(q) *
-                       static_cast<std::size_t>(rs.local) +
-                   static_cast<std::size_t>(li)] =
-            f[static_cast<std::size_t>(q) * n + gi];
+        fn(static_cast<std::size_t>(q) * n + gi, r, slot(rs, q, li));
     }
   }
 }
@@ -800,8 +715,15 @@ void DistributedSolver::shrink_to_survivors(Rank dead) {
   HEMO_EXPECTS(alive_[static_cast<std::size_t>(dead)]);
 
   // Recover the last consistent global state while the old decomposition
-  // is still in place, then retire the rank.
-  const std::vector<double> f = snapshot_global_state();
+  // is still in place, then retire the rank.  The snapshot holds every
+  // rank's state from before the death, so reassembling it in global
+  // q-major order under the pre-shrink ownership recovers the dead rank's
+  // points too: this is the redistribution source for the shrink.
+  HEMO_EXPECTS(snapshot_.step >= 0);
+  std::vector<double> f(static_cast<std::size_t>(total_values()));
+  for_each_owned_value([&](std::size_t g, std::size_t r, std::size_t l) {
+    f[g] = snapshot_.state[r][l];
+  });
   const std::int64_t resume_step = snapshot_.step;
   const double resume_prev_mass = snapshot_.prev_mass;
 
@@ -819,7 +741,12 @@ void DistributedSolver::shrink_to_survivors(Rank dead) {
   partition_ =
       decomp::bisection_partition(*global_, partition_.n_ranks, survivors);
   build_decomposition();
-  scatter_global_state(f);
+  // Owned slots only: every ghost (q, slot) the kernel will read is
+  // overwritten by the first halo exchange after resumption, so ghosts can
+  // stay at the equilibrium fill build_decomposition() gave them.
+  for_each_owned_value([&](std::size_t g, std::size_t r, std::size_t l) {
+    ranks_[r].current[l] = f[g];
+  });
   steps_done_ = resume_step;
   prev_mass_ = resume_prev_mass;
 
@@ -903,7 +830,8 @@ void DistributedSolver::resilient_step() {
   // the freshly written output while both exist.
   if (sentinel_.has_value() && reexec_vote_sample()) return;
 
-  std::vector<analysis::Diagnostic> health = check_health();
+  const double mass = total_mass();
+  std::vector<analysis::Diagnostic> health = health_report(mass);
   if (!health.empty()) {
     stats_.health_errors += static_cast<std::int64_t>(health.size());
     stats_.diagnostics.insert(stats_.diagnostics.end(), health.begin(),
@@ -913,7 +841,7 @@ void DistributedSolver::resilient_step() {
     rollback_or_fault(why.str());
     return;
   }
-  prev_mass_ = total_mass();
+  prev_mass_ = mass;
   // Close the record/verify window: digest the state the step produced.
   // Anything that changes it before the next verify is corruption.
   if (sentinel_.has_value()) sentinel_record_all();
@@ -923,122 +851,40 @@ void DistributedSolver::resilient_step() {
 // Checkpoint / restart.
 // ---------------------------------------------------------------------------
 
-void DistributedSolver::save_checkpoint(const std::string& path) const {
-  io::BlobWriter writer(path, kCkptMagic, kCkptVersion);
-  CkptMeta meta{steps_done_, global_->size(), partition_.n_ranks, lbm::kQ};
-  writer.add_record(kMetaTag, &meta, sizeof meta);
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const RankState& rs = ranks_[r];
-    writer.add_record(kRankTagBase + static_cast<std::uint32_t>(r),
-                      rs.current,
-                      static_cast<std::uint64_t>(lbm::kQ) *
-                          static_cast<std::uint64_t>(rs.local) *
-                          sizeof(double));
+void DistributedSolver::write_ranks(const std::string& path, Rank first,
+                                    Rank last) const {
+  HEMO_EXPECTS(0 <= first && first < last && last <= partition_.n_ranks);
+  // Straight from each rank's live array: no global gather.
+  std::vector<lbm::RankRecord<const double>> records;
+  for (Rank r = first; r < last; ++r) {
+    const RankState& rs = ranks_[static_cast<std::size_t>(r)];
+    records.emplace_back(r, std::span<const double>(rs.current, values(rs)));
   }
-  writer.finish();
+  lbm::write_checkpoint(path, steps_done_, global_->size(),
+                        partition_.n_ranks, records);
 }
 
-void DistributedSolver::save_rank_checkpoint(const std::string& path,
-                                             Rank r) const {
-  HEMO_EXPECTS(r >= 0 && r < partition_.n_ranks);
-  io::BlobWriter writer(path, kCkptMagic, kCkptVersion);
-  CkptMeta meta{steps_done_, global_->size(), partition_.n_ranks, lbm::kQ};
-  writer.add_record(kMetaTag, &meta, sizeof meta);
-  const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-  writer.add_record(kRankTagBase + static_cast<std::uint32_t>(r), rs.current,
-                    static_cast<std::uint64_t>(lbm::kQ) *
-                        static_cast<std::uint64_t>(rs.local) *
-                        sizeof(double));
-  writer.finish();
-}
-
-namespace {
-
-CkptMeta read_meta(io::BlobReader& reader, const std::string& path,
-                   std::int64_t global_size, int n_ranks) {
-  if (reader.at_end())
-    throw io::BlobError("checkpoint '" + path + "' has no metadata record");
-  const io::BlobRecord rec = reader.next();
-  if (rec.tag != kMetaTag || rec.bytes.size() != sizeof(CkptMeta))
-    throw io::BlobError("checkpoint '" + path +
-                        "': first record is not valid metadata");
-  CkptMeta meta;
-  std::copy(rec.bytes.begin(), rec.bytes.end(),
-            reinterpret_cast<char*>(&meta));
-  if (meta.global_size != global_size || meta.n_ranks != n_ranks ||
-      meta.q != lbm::kQ)
-    throw io::BlobError("checkpoint '" + path +
-                        "' was taken for a different solver configuration");
-  if (meta.step < 0)
-    throw io::BlobError("checkpoint '" + path + "': negative step counter");
-  return meta;
-}
-
-}  // namespace
-
-void DistributedSolver::restore_checkpoint(const std::string& path) {
-  io::BlobReader reader(path, kCkptMagic, kCkptVersion);
-  const CkptMeta meta =
-      read_meta(reader, path, global_->size(), partition_.n_ranks);
-
-  std::vector<bool> seen(ranks_.size(), false);
-  while (!reader.at_end()) {
-    const io::BlobRecord rec = reader.next();
-    if (rec.tag < kRankTagBase ||
-        rec.tag >= kRankTagBase + ranks_.size())
-      throw io::BlobError("checkpoint '" + path + "': unknown record tag");
-    const std::size_t r = rec.tag - kRankTagBase;
-    RankState& rs = ranks_[r];
-    const std::size_t expected_bytes = static_cast<std::size_t>(lbm::kQ) *
-                                       static_cast<std::size_t>(rs.local) *
-                                       sizeof(double);
-    if (rec.bytes.size() != expected_bytes)
-      throw io::BlobError("checkpoint '" + path + "': rank record size " +
-                          std::to_string(rec.bytes.size()) +
-                          " does not match this decomposition");
-    std::copy(rec.bytes.begin(), rec.bytes.end(),
-              reinterpret_cast<char*>(rs.current));
-    seen[r] = true;
+std::int64_t DistributedSolver::restore_ranks(const std::string& path,
+                                              Rank first, Rank last) {
+  HEMO_EXPECTS(0 <= first && first < last && last <= partition_.n_ranks);
+  // Stage every record in its rank's output buffer, which holds nothing
+  // between steps, and commit only once the whole file has validated.
+  std::vector<lbm::RankRecord<double>> stage;
+  for (Rank r = first; r < last; ++r) {
+    const RankState& rs = ranks_[static_cast<std::size_t>(r)];
+    stage.emplace_back(r, std::span<double>(rs.next, values(rs)));
   }
-  for (std::size_t r = 0; r < seen.size(); ++r)
-    if (!seen[r])
-      throw io::BlobError("checkpoint '" + path + "': no record for rank " +
-                          std::to_string(r));
-
-  steps_done_ = meta.step;
+  const std::int64_t step = lbm::read_checkpoint(
+      path, global_->size(), partition_.n_ranks, stage);
+  for (Rank r = first; r < last; ++r) {
+    RankState& rs = ranks_[static_cast<std::size_t>(r)];
+    std::swap(rs.current, rs.next);
+  }
+  steps_done_ = step;
   snapshot_ = Snapshot{};  // pre-restore snapshots are no longer valid
   initial_mass_ = prev_mass_ = total_mass();
   if (sentinel_.has_value()) sentinel_record_all();
-}
-
-std::int64_t DistributedSolver::restore_rank_checkpoint(
-    const std::string& path, Rank r) {
-  HEMO_EXPECTS(r >= 0 && r < partition_.n_ranks);
-  io::BlobReader reader(path, kCkptMagic, kCkptVersion);
-  const CkptMeta meta =
-      read_meta(reader, path, global_->size(), partition_.n_ranks);
-  const std::uint32_t want = kRankTagBase + static_cast<std::uint32_t>(r);
-  while (!reader.at_end()) {
-    const io::BlobRecord rec = reader.next();
-    if (rec.tag != want) continue;
-    RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const std::size_t expected_bytes = static_cast<std::size_t>(lbm::kQ) *
-                                       static_cast<std::size_t>(rs.local) *
-                                       sizeof(double);
-    if (rec.bytes.size() != expected_bytes)
-      throw io::BlobError("checkpoint '" + path + "': rank record size " +
-                          std::to_string(rec.bytes.size()) +
-                          " does not match this decomposition");
-    std::copy(rec.bytes.begin(), rec.bytes.end(),
-              reinterpret_cast<char*>(rs.current));
-    steps_done_ = meta.step;
-    snapshot_ = Snapshot{};
-    initial_mass_ = prev_mass_ = total_mass();
-    if (sentinel_.has_value()) sentinel_record_all();
-    return meta.step;
-  }
-  throw io::BlobError("checkpoint '" + path + "': no record for rank " +
-                      std::to_string(r));
+  return step;
 }
 
 // ---------------------------------------------------------------------------
@@ -1131,47 +977,38 @@ void DistributedSolver::set_inlet_velocity(double velocity) {
 }
 
 std::vector<double> DistributedSolver::global_distributions() const {
-  const auto n = static_cast<std::size_t>(global_->size());
-  std::vector<double> out(static_cast<std::size_t>(lbm::kQ) * n);
-  for (const RankState& rs : ranks_) {
-    for (std::int64_t li = 0; li < rs.owned; ++li) {
-      const auto gi =
-          static_cast<std::size_t>(rs.owned_global[static_cast<std::size_t>(li)]);
-      for (int q = 0; q < lbm::kQ; ++q)
-        out[static_cast<std::size_t>(q) * n + gi] =
-            rs.current[static_cast<std::size_t>(q) *
-                           static_cast<std::size_t>(rs.local) +
-                       static_cast<std::size_t>(li)];
-    }
-  }
+  std::vector<double> out(static_cast<std::size_t>(total_values()));
+  for_each_owned_value([&](std::size_t g, std::size_t r, std::size_t l) {
+    out[g] = ranks_[r].current[l];
+  });
   return out;
+}
+
+std::pair<Rank, std::int64_t> DistributedSolver::locate(
+    PointIndex global_index) const {
+  const Rank r = partition_.owner[static_cast<std::size_t>(global_index)];
+  const std::vector<PointIndex>& owned =
+      ranks_[static_cast<std::size_t>(r)].owned_global;
+  const auto it = std::lower_bound(owned.begin(), owned.end(), global_index);
+  HEMO_ASSERT(it != owned.end() && *it == global_index);
+  return {r, it - owned.begin()};
 }
 
 lbm::Moments DistributedSolver::global_moments(PointIndex global_index) const {
   HEMO_EXPECTS(global_index >= 0 && global_index < global_->size());
-  const Rank r = partition_.owner[static_cast<std::size_t>(global_index)];
+  const auto [r, li] = locate(global_index);
   const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-  const auto it = std::lower_bound(rs.owned_global.begin(),
-                                   rs.owned_global.end(), global_index);
-  HEMO_ASSERT(it != rs.owned_global.end() && *it == global_index);
-  const auto li = static_cast<std::size_t>(it - rs.owned_global.begin());
   double f[lbm::kQ];
-  for (int q = 0; q < lbm::kQ; ++q)
-    f[q] = rs.current[static_cast<std::size_t>(q) *
-                          static_cast<std::size_t>(rs.local) +
-                      li];
+  for (int q = 0; q < lbm::kQ; ++q) f[q] = rs.current[slot(rs, q, li)];
   return lbm::moments_of(f, options_.body_force.x, options_.body_force.y,
                          options_.body_force.z);
 }
 
 double DistributedSolver::total_mass() const {
   double mass = 0.0;
-  for (const RankState& rs : ranks_)
-    for (std::int64_t li = 0; li < rs.owned; ++li)
-      for (int q = 0; q < lbm::kQ; ++q)
-        mass += rs.current[static_cast<std::size_t>(q) *
-                               static_cast<std::size_t>(rs.local) +
-                           static_cast<std::size_t>(li)];
+  for_each_owned_value([&](std::size_t, std::size_t r, std::size_t l) {
+    mass += ranks_[r].current[l];
+  });
   return mass;
 }
 

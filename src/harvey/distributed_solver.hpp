@@ -127,18 +127,28 @@ class DistributedSolver {
   // -- Checkpoint / restart -------------------------------------------------
 
   /// Writes a versioned, CRC-checked binary checkpoint of the full solver
-  /// state (every rank's distributions + the step counter) through
-  /// io::BlobWriter.  restore_checkpoint() of the file reproduces the run
-  /// bit-identically.
-  void save_checkpoint(const std::string& path) const;
-  void restore_checkpoint(const std::string& path);
+  /// state (every rank's distributions + the step counter) in the format
+  /// of lbm/checkpoint.hpp, which lbm::Solver shares with a 1-rank run.
+  /// restore_checkpoint() of the file reproduces the run bit-identically;
+  /// it validates the whole file before changing any state and throws
+  /// io::BlobError on a bad one.
+  void save_checkpoint(const std::string& path) const {
+    write_ranks(path, 0, n_ranks());
+  }
+  void restore_checkpoint(const std::string& path) {
+    restore_ranks(path, 0, n_ranks());
+  }
 
   /// Per-rank variant: a checkpoint holding one rank's state only.  The
   /// restore returns the step the record was taken at; the caller is
   /// responsible for restoring every rank to the same step before
   /// stepping again.
-  void save_rank_checkpoint(const std::string& path, Rank r) const;
-  std::int64_t restore_rank_checkpoint(const std::string& path, Rank r);
+  void save_rank_checkpoint(const std::string& path, Rank r) const {
+    write_ranks(path, r, r + 1);
+  }
+  std::int64_t restore_rank_checkpoint(const std::string& path, Rank r) {
+    return restore_ranks(path, r, r + 1);
+  }
 
   /// Post-collision distributions reassembled into the global point
   /// ordering (q-major SoA over the global lattice).
@@ -202,10 +212,37 @@ class DistributedSolver {
     bool missing_only = true;
   };
 
+  /// Flat index of direction q of rank-local point li, and the values in
+  /// one rank's distribution array (owned points and ghosts).
+  static std::size_t slot(const RankState& rs, int q, std::int64_t li) {
+    return static_cast<std::size_t>(q) * static_cast<std::size_t>(rs.local) +
+           static_cast<std::size_t>(li);
+  }
+  static std::size_t values(const RankState& rs) {
+    return static_cast<std::size_t>(lbm::kQ) *
+           static_cast<std::size_t>(rs.local);
+  }
+  /// Owner rank and rank-local index of a global point.
+  std::pair<Rank, std::int64_t> locate(PointIndex global_index) const;
+  /// Calls fn(global slot, rank, rank-local slot) for every owned value:
+  /// the one map between the ranks' arrays and the global q-major order.
+  template <typename Fn>
+  void for_each_owned_value(Fn fn) const;
+
   void exchange_halos();
+  /// A halo message: the exchange's values from the sender's live state,
+  /// plus the CRC frame word when `frame` is set.
+  std::vector<double> pack(const Exchange& e, bool frame) const;
+  void unpack(const Exchange& e, const std::vector<double>& payload);
   void execute_rank_kernel(RankState& rs);
-  lbm::KernelArgs rank_args(RankState& rs) const;
+  lbm::KernelArgs rank_args(const RankState& rs) const;
   void advance_state();
+
+  /// The one checkpoint writer and reader (lbm/checkpoint.hpp), over the
+  /// ranks [first, last): every rank for a whole checkpoint, one for a
+  /// per-rank one.  The reader restores nothing unless the file is valid.
+  void write_ranks(const std::string& path, Rank first, Rank last) const;
+  std::int64_t restore_ranks(const std::string& path, Rank first, Rank last);
 
   /// Builds ranks_ and exchanges_ from the current partition_.  Called by
   /// the constructor and again by shrink_to_survivors() after the
@@ -214,13 +251,14 @@ class DistributedSolver {
   void build_decomposition();
 
   // Resilient halo machinery.
-  std::vector<double> pack_payload(const Exchange& e) const;
-  void post_all_halos();
+  void post_all_halos(bool frame);
   bool receive_exchange(const Exchange& e, bool* missing_only);
   bool resilient_exchange(Rank* suspect);
   void drain_stragglers();
   void record(const char* rule, analysis::Severity severity,
               const std::string& where, const std::string& message);
+  /// check_health() over a global mass the caller already summed.
+  std::vector<analysis::Diagnostic> health_report(double mass) const;
   void take_snapshot();
   void rollback_or_fault(const std::string& why);
   std::int64_t total_values() const;
@@ -249,8 +287,6 @@ class DistributedSolver {
   Rank diagnose_dead_rank(const std::vector<FailedEdge>& failed) const;
   bool can_shrink() const;
   void shrink_to_survivors(Rank dead);
-  std::vector<double> snapshot_global_state() const;
-  void scatter_global_state(const std::vector<double>& f);
 
   std::shared_ptr<const lbm::SparseLattice> global_;
   decomp::Partition partition_;

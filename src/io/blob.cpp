@@ -93,6 +93,9 @@ BlobReader::BlobReader(const std::string& path, std::uint64_t magic,
                        std::uint32_t max_version)
     : in_(path, std::ios::binary), path_(path) {
   if (!in_.good()) throw BlobError("cannot open blob file '" + path + "'");
+  in_.seekg(0, std::ios::end);
+  size_ = in_.tellg();
+  in_.seekg(0, std::ios::beg);
   std::uint64_t got_magic = 0;
   if (!read_pod(in_, &got_magic) || got_magic != magic)
     throw BlobError("blob file '" + path + "' has the wrong magic number");
@@ -112,6 +115,9 @@ BlobRecord BlobReader::next() {
   if (!read_pod(in_, &record.tag) || !read_pod(in_, &bytes) ||
       !read_pod(in_, &crc))
     throw BlobError("blob file '" + path_ + "' is truncated (record header)");
+  if (bytes > static_cast<std::uint64_t>(
+                  size_ - static_cast<std::streamoff>(in_.tellg())))
+    throw BlobError("blob file '" + path_ + "' is truncated (record payload)");
   record.bytes.resize(static_cast<std::size_t>(bytes));
   in_.read(record.bytes.data(), static_cast<std::streamsize>(bytes));
   if (in_.gcount() != static_cast<std::streamsize>(bytes))

@@ -82,13 +82,15 @@ class BlobReader {
   bool at_end();
 
   /// Reads the next record, validating size and CRC; throws BlobError on
-  /// truncation or checksum mismatch.
+  /// truncation or checksum mismatch.  A payload length past the end of
+  /// the file is truncation, caught before anything is allocated for it.
   BlobRecord next();
 
  private:
   std::ifstream in_;
   std::string path_;
   std::uint32_t version_ = 0;
+  std::streamoff size_ = 0;  // file bytes
 };
 
 }  // namespace hemo::io

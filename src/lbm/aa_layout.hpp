@@ -67,8 +67,8 @@ inline void aa_canonicalize(const PointIndex* adjacency, std::int64_t n,
 }
 
 /// Inverse of aa_canonicalize: lays a canonical snapshot out as the AA
-/// array expected at the given step-counter parity.  Also used to build
-/// the initial AA state from the equilibrium fill.
+/// array expected at the given step-counter parity (a checkpoint restore;
+/// lbm/step.hpp's fill_initial_state is its uniform-state special case).
 inline void aa_decanonicalize(const PointIndex* adjacency, std::int64_t n,
                               std::int64_t steps_done, const double* canonical,
                               double* aa) {

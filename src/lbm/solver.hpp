@@ -12,39 +12,21 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "base/types.hpp"
+#include "lbm/checkpoint.hpp"
 #include "lbm/kernels.hpp"
 #include "lbm/propagation.hpp"
 #include "lbm/sparse_lattice.hpp"
+#include "lbm/step.hpp"
 #include "lbm/tile_probe.hpp"
 
 namespace hemo::lbm {
 
-struct SolverOptions {
-  double tau = 1.0;               // BGK relaxation time (omega = 1/tau)
-  Vec3 body_force{};              // uniform Guo body force
-  double inlet_velocity = 0.0;    // u_z at kVelocityInlet points
-  double outlet_density = 1.0;    // rho at kPressureOutlet points
-  double initial_density = 1.0;
-  Vec3 initial_velocity{};
-  Propagation propagation = Propagation::kPullSoA;
-};
-
 /// Kinematic viscosity implied by a BGK relaxation time.
 constexpr double viscosity_of_tau(double tau) { return kCs2 * (tau - 0.5); }
-
-/// A checkpoint file that cannot be opened, fails structural validation
-/// (magic, lattice shape, payload size, trailing bytes) or hits an I/O
-/// error.  Restore never aborts the process on bad input: campaigns catch
-/// this and fall back to a cold start.
-class CheckpointError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 class Solver {
  public:
@@ -106,21 +88,30 @@ class Solver {
   /// Deviatoric stress tensor at one point (see lbm/hemodynamics.hpp).
   std::array<double, 6> stress(PointIndex i) const;
 
-  /// Binary checkpoint of the full state (canonical distributions + step
-  /// counter), written atomically (.tmp + rename) so a crash mid-write
-  /// never tears the live file.  The stored snapshot is always canonical,
-  /// so checkpoints are portable across propagation patterns and AA step
-  /// parities; restore is bit-exact and throws CheckpointError (instead of
-  /// aborting) on malformed files.
+  /// Checkpoint of the full state (canonical distributions + step
+  /// counter) in the format of lbm/checkpoint.hpp, as a 1-rank
+  /// DistributedSolver writes it, and written atomically (.tmp + rename)
+  /// so a crash mid-write never tears the live file.  The stored snapshot
+  /// is always canonical, so checkpoints are portable across propagation
+  /// patterns, AA step parities and the serial/1-rank solvers; restore is
+  /// bit-exact and throws CheckpointError (instead of aborting) on
+  /// malformed files, leaving the solver untouched.
   void save_checkpoint(const std::string& path) const;
   void restore_checkpoint(const std::string& path);
 
  private:
-  KernelArgs args(const std::vector<double>& in, std::vector<double>& out) const;
+  KernelArgs args() const {
+    return kernel_args(options_, lattice_->adjacency().data(),
+                       node_type_bytes(*lattice_).data(), lattice_->size());
+  }
+  /// The live array (see live_state()).
+  std::vector<double>& live() {
+    return options_.propagation == Propagation::kAAInPlace ? buf_a_
+                                                           : *current_;
+  }
 
   std::shared_ptr<const SparseLattice> lattice_;
   SolverOptions options_;
-  std::vector<std::uint8_t> node_type_;
   // Pull: buf_a_/buf_b_ are the double buffers and current_/next_ swap
   // between them.  AA: buf_a_ is the single in-place array, buf_b_ caches
   // the canonical snapshot (current_ always points at the cache).

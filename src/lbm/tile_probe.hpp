@@ -59,6 +59,16 @@ constexpr int live_slot_q(LiveLayout layout, int q) {
   return layout == LiveLayout::kAAOddParity ? opposite(q) : q;
 }
 
+/// Flips bit `bit` of one stored value: the in-memory SDC (a cosmic-ray
+/// flip in resident memory) that chaos hooks inject and tile digests
+/// exist to catch.
+inline void flip_bit(double& v, int bit) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  bits ^= 1ull << bit;
+  std::memcpy(&v, &bits, sizeof bits);
+}
+
 /// Rolling invariants of one tile: an FNV-1a hash over the exact bit
 /// patterns of every slot, plus mass and momentum sums.  Equality is
 /// bitwise — the sums are byproducts of the same deterministic loop, so

@@ -135,6 +135,24 @@ TEST(DeviceSolverCrossDialect, AllSevenModelsAgreeBitwise) {
   }
 }
 
+TEST(DeviceSolverLifecycle, RejectsTheOptionsTheReferenceSolverRejects) {
+  // One precondition for every solver: options lbm::Solver refuses must
+  // not run on a device either.
+  auto lattice = workload();
+  lbm::SolverOptions low_tau = options();
+  low_tau.tau = 0.5;
+  EXPECT_DEATH(DeviceSolver(lattice, low_tau, hal::Model::kCuda),
+               "Precondition");
+  lbm::SolverOptions no_outlet_density = options();
+  no_outlet_density.outlet_density = 0.0;
+  EXPECT_DEATH(DeviceSolver(lattice, no_outlet_density, hal::Model::kCuda),
+               "Precondition");
+  lbm::SolverOptions sonic_inlet = options();
+  sonic_inlet.inlet_velocity = -1.0;
+  EXPECT_DEATH(DeviceSolver(lattice, sonic_inlet, hal::Model::kCuda),
+               "Precondition");
+}
+
 TEST(DeviceSolverLifecycle, NoDeviceMemoryLeaks) {
   auto& eng = hal::DeviceEngine::instance();
   const std::size_t live_before = eng.live_allocations();

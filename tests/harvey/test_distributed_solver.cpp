@@ -152,6 +152,24 @@ TEST(DistributedSolver, RejectsAPropagationPatternItCannotStep) {
   }
 }
 
+TEST(DistributedSolver, RejectsTheOptionsTheReferenceSolverRejects) {
+  // One precondition for every solver: options lbm::Solver refuses must
+  // not run on ranks either.
+  auto lattice = cylinder_workload();
+  const decomp::Partition partition = decomp::slab_partition(*lattice, 2);
+  lbm::SolverOptions low_tau = flow_options();
+  low_tau.tau = 0.5;
+  EXPECT_DEATH(DistributedSolver(lattice, partition, low_tau), "Precondition");
+  lbm::SolverOptions no_outlet_density = flow_options();
+  no_outlet_density.outlet_density = -1.0;
+  EXPECT_DEATH(DistributedSolver(lattice, partition, no_outlet_density),
+               "Precondition");
+  lbm::SolverOptions sonic_inlet = flow_options();
+  sonic_inlet.inlet_velocity = 1.0;
+  EXPECT_DEATH(DistributedSolver(lattice, partition, sonic_inlet),
+               "Precondition");
+}
+
 TEST(DistributedSolver, SingleRankSendsNothing) {
   auto lattice = cylinder_workload();
   DistributedSolver distributed(

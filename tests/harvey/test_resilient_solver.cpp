@@ -350,6 +350,39 @@ TEST(Checkpoint, WrongConfigurationIsRejected) {
   EXPECT_THROW(other.restore_checkpoint(ckpt.path), hemo::io::BlobError);
 }
 
+TEST(Checkpoint, CorruptLastRankRecordLeavesTheSolverUntouched) {
+  // Restore validates every record before it commits any: a file whose
+  // last rank record is damaged must not overwrite the ranks before it.
+  constexpr int kRanks = 4;
+  const TempFile ckpt("ckpt_corrupt_last_rank.bin");
+  auto lattice = small_cylinder();
+  DistributedSolver solver(lattice, decomp::slab_partition(*lattice, kRanks),
+                           flow_options());
+  solver.run(3);
+  solver.save_checkpoint(ckpt.path);
+  solver.run(2);
+  const std::vector<double> before = solver.global_distributions();
+
+  // The file's last byte is the last payload byte of rank 3's record.
+  {
+    std::fstream f(ckpt.path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekg(-1, std::ios::end);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);
+    f.seekp(-1, std::ios::end);
+    f.write(&byte, 1);
+  }
+
+  EXPECT_THROW(solver.restore_checkpoint(ckpt.path), hemo::io::BlobError);
+  EXPECT_EQ(solver.step_count(), 5);
+  EXPECT_EQ(solver.global_distributions(), before);
+  solver.run(1);
+  EXPECT_EQ(solver.global_distributions(), clean_run(kRanks, 6));
+}
+
 TEST(Checkpoint, MissingFileIsRejected) {
   auto lattice = small_cylinder();
   DistributedSolver solver(lattice, decomp::slab_partition(*lattice, 2),

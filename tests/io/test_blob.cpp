@@ -148,6 +148,28 @@ TEST(Blob, DetectsPayloadCorruption) {
   EXPECT_THROW(reader.next(), BlobError);
 }
 
+TEST(Blob, PayloadLengthPastTheEndIsTruncationNotAnAllocation) {
+  // A record header whose 64-bit length runs past the end of the file
+  // (junk appended to a blob, or a damaged length field) must read as
+  // truncation before anything is allocated for the payload.
+  TempFile file("blob_huge_length.bin");
+  write_blob(file.path, {"payload"});
+  {
+    std::ofstream out(file.path, std::ios::binary | std::ios::app);
+    const std::uint32_t tag = 2;
+    const std::uint64_t bytes = 1ull << 62;
+    const std::uint32_t crc = 0;
+    out.write(reinterpret_cast<const char*>(&tag), sizeof tag);
+    out.write(reinterpret_cast<const char*>(&bytes), sizeof bytes);
+    out.write(reinterpret_cast<const char*>(&crc), sizeof crc);
+    out << "short";
+  }
+  BlobReader reader(file.path, kMagic, kVersion);
+  EXPECT_EQ(reader.next().tag, 1u);
+  ASSERT_FALSE(reader.at_end());
+  EXPECT_THROW(reader.next(), BlobError);
+}
+
 TEST(Blob, RejectsForeignMagicAndNewerVersion) {
   TempFile file("blob_foreign.bin");
   write_blob(file.path, {"payload"});
